@@ -12,14 +12,11 @@ from .linalg import (ConvergenceError, CyclicTridiag, SingularMatrixError,
 from .aligned import (AlignedModel, exact_aligned, ic_constant, ic_two_mode,
                       limit_aligned, y_average)
 from .aligned_schemes import (AlignedScheme, AlignedSchemeConfig, LagrangeState,
-                              MicroMacroState, run_aligned, step_fourier,
-                              step_imex, step_lagrange_aligned, step_micromacro,
-                              upwind_x)
+                              MicroMacroState, run_aligned, upwind_x)
 from .rotating import (RotatingModel, circle_average, exact_rotating,
                        ic_gaussian, rotate)
 from .rotating_schemes import (RotatingScheme, RotatingSchemeConfig, UpwindSplit,
                                assemble_imp, assemble_lagrange_rot, run_rotating,
-                               step_imp, step_lagrange_rotating,
                                upwind_rotation_apply, upwind_rotation_matrix)
 from .analysis import (ConvergenceTable, ErrorPair, cond_sweep, error_eta,
                        error_gamma, fit_loglog_slope, measure_xi, xi_imex)
@@ -35,12 +32,11 @@ __all__ = [
     "AlignedModel", "exact_aligned", "y_average", "limit_aligned",
     "ic_two_mode", "ic_constant",
     "AlignedScheme", "AlignedSchemeConfig", "MicroMacroState", "LagrangeState",
-    "step_imex", "step_fourier", "step_micromacro", "step_lagrange_aligned",
     "run_aligned", "upwind_x",
     "RotatingModel", "rotate", "exact_rotating", "circle_average", "ic_gaussian",
     "RotatingScheme", "RotatingSchemeConfig", "UpwindSplit",
     "upwind_rotation_apply", "upwind_rotation_matrix", "assemble_imp",
-    "assemble_lagrange_rot", "step_imp", "step_lagrange_rotating", "run_rotating",
+    "assemble_lagrange_rot", "run_rotating",
     "ErrorPair", "ConvergenceTable", "error_eta", "error_gamma",
     "fit_loglog_slope", "xi_imex", "measure_xi", "cond_sweep",
     "RunResult", "StepRecord",

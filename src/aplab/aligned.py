@@ -92,13 +92,7 @@ def limit_aligned(m: AlignedModel, t: float, grid: Grid2D) -> np.ndarray:
     initial condition is evaluated on the grid's own y-nodes, consistent
     with ``y_average`` of a sampled field.
     """
-    x = grid.x_nodes()
-    y = grid.y_nodes()
-    foot = grid.x_min + np.mod(x - m.a * t - grid.x_min, grid.lx)
-    try:
-        vals = np.asarray(m.f_in(foot[:, None], y[None, :]), dtype=float)
-        if vals.shape != (x.size, y.size):
-            vals = np.broadcast_to(vals, (x.size, y.size))
-    except (TypeError, ValueError):
-        vals = np.array([[m.f_in(fx, yj) for yj in y] for fx in foot], dtype=float)
-    return vals.mean(axis=1)
+    def advected(x, y):
+        return m.f_in(grid.x_min + np.mod(x - m.a * t - grid.x_min, grid.lx), y)
+
+    return y_average(sample(grid, advected, t))

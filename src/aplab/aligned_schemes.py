@@ -9,21 +9,19 @@ stay solvable down to eps = 0 (lagrange).
 
 from __future__ import annotations
 
-import time as _time
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .aligned import AlignedModel, y_average
-from .grid import Field2D, Grid2D, sample
-from .linalg import (CyclicTridiag, SolveStats, SparseFactor, assemble_arrays,
+from .grid import Field2D, Grid2D
+from .linalg import (CyclicTridiag, SolveStats, SparseFactor, assemble,
                      dft_wavenumbers, solve_cyclic, _dft_matrices)
-from .results import RunResult, StepRecord
+from .results import RunResult, run_steps
 
 __all__ = [
     "AlignedScheme", "AlignedSchemeConfig", "MicroMacroState", "LagrangeState",
-    "step_imex", "step_fourier", "step_micromacro", "step_lagrange_aligned",
     "run_aligned", "upwind_x", "aligned_lagrange_matrix",
 ]
 
@@ -49,7 +47,6 @@ class AlignedSchemeConfig:
     grid: Grid2D
     dt: float
     scheme: AlignedScheme = AlignedScheme.IMEX
-    solver_tol: float = 1e-12
 
     def __post_init__(self) -> None:
         if not (self.dt > 0.0) or not np.isfinite(self.dt):
@@ -72,7 +69,8 @@ class AlignedSchemeConfig:
 class MicroMacroState:
     """Mean part over y (macro, one value per x-node) plus fluctuation.
 
-    The fluctuation keeps a zero column mean; construction checks it.
+    The fluctuation keeps a zero column mean; construction checks it. The
+    mass counts the macro part once per stored y-node.
     """
 
     H: np.ndarray
@@ -93,12 +91,13 @@ class MicroMacroState:
         H = y_average(f)
         return cls(H, f.with_values(f.values - H[:, None]))
 
-    def to_field(self) -> Field2D:
+    @property
+    def field(self) -> Field2D:
         return self.h.with_values(self.H[:, None] + self.h.values)
 
-    @property
-    def time(self) -> float:
-        return self.h.time
+    def mass(self) -> float:
+        ny1 = self.h.grid.ny - 1
+        return float(ny1 * self.H.sum() + self.h.values.sum())
 
 
 @dataclass(frozen=True)
@@ -117,8 +116,11 @@ class LagrangeState:
         return cls(f, f.with_values(np.zeros_like(f.values)))
 
     @property
-    def time(self) -> float:
-        return self.f.time
+    def field(self) -> Field2D:
+        return self.f
+
+    def mass(self) -> float:
+        return float(self.f.values.sum())
 
 
 def upwind_x(values: np.ndarray, alpha: float) -> np.ndarray:
@@ -128,15 +130,18 @@ def upwind_x(values: np.ndarray, alpha: float) -> np.ndarray:
     return values - alpha * (values - np.roll(values, 1, axis=0))
 
 
-def _l1_mass_scale(values: np.ndarray) -> float:
-    return max(1.0, float(np.abs(values).sum()))
-
-
 # ---------------------------------------------------------------------------
-# steppers (one instance per run, factorizations cached)
+# steppers (one instance per run, factorizations cached); ``initial`` turns
+# the sampled field into the scheme's state
+
+
+def _plain(f0: Field2D) -> Field2D:
+    return f0
 
 
 class ImexStepper:
+    initial = staticmethod(_plain)
+
     def __init__(self, cfg: AlignedSchemeConfig):
         self.cfg = cfg
         eps = cfg.model.eps
@@ -152,10 +157,12 @@ class ImexStepper:
         resid = float(np.max(np.abs(self.matrix.matvec(sol.T) - rhs.T)))
         scale = max(1.0, float(np.max(np.abs(rhs))))
         return (f.with_values(sol, f.time + cfg.dt),
-                SolveStats(resid / scale, 1, "direct"))
+                SolveStats(resid / scale, 1))
 
 
 class FourierStepper:
+    initial = staticmethod(_plain)
+
     def __init__(self, cfg: AlignedSchemeConfig):
         self.cfg = cfg
         m = cfg.grid.ny - 1
@@ -178,10 +185,12 @@ class FourierStepper:
         coeffs = upwind_x(coeffs, cfg.alpha)
         coeffs = coeffs * self.factor[None, :]
         vals = (coeffs @ self.inv_t).real
-        return f.with_values(vals, f.time + cfg.dt), SolveStats(0.0, 0, "direct")
+        return f.with_values(vals, f.time + cfg.dt), SolveStats(0.0, 0)
 
 
 class MicroMacroStepper:
+    initial = MicroMacroState.from_field
+
     def __init__(self, cfg: AlignedSchemeConfig):
         self.cfg = cfg
         self.inner = ImexStepper(cfg) if cfg.model.eps > 0.0 else None
@@ -191,7 +200,7 @@ class MicroMacroStepper:
         H_new = upwind_x(s.H, cfg.alpha)
         if self.inner is None:
             h_vals = np.zeros_like(s.h.values)
-            stats = SolveStats(0.0, 0, "direct")
+            stats = SolveStats(0.0, 0)
         else:
             h_new, stats = self.inner.step(s.h)
             # re-projection removes roundoff drift; exact step keeps mean zero
@@ -219,11 +228,13 @@ def aligned_lagrange_matrix(m: int, beta: float, eps: float):
     rows.append(np.array([2 * m - 1]))
     cols.append(np.array([m]))
     vals.append(np.array([1.0]))
-    return assemble_arrays(2 * m, 2 * m,
-                           np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
+    return assemble(2 * m, 2 * m,
+                    np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
 
 
 class LagrangeAlignedStepper:
+    initial = LagrangeState.from_field
+
     def __init__(self, cfg: AlignedSchemeConfig):
         self.cfg = cfg
         m = cfg.grid.ny - 1
@@ -236,7 +247,7 @@ class LagrangeAlignedStepper:
         ncols = cfg.grid.nx - 1
         rhs = np.zeros((2 * m, ncols))
         rhs[:m] = upwind_x(s.f.values, cfg.alpha).T
-        sol, stats = self.factor.solve(rhs, tol=cfg.solver_tol)
+        sol, stats = self.factor.solve(rhs)
         f_vals = sol[:m].T
         q_vals = sol[m:].T.copy()
         q_vals[:, 0] = 0.0
@@ -257,114 +268,8 @@ def make_aligned_stepper(cfg: AlignedSchemeConfig):
     return _STEPPERS[cfg.scheme](cfg)
 
 
-def initial_state(cfg: AlignedSchemeConfig, f0: Field2D):
-    if cfg.scheme is AlignedScheme.MICRO_MACRO:
-        return MicroMacroState.from_field(f0)
-    if cfg.scheme is AlignedScheme.LAGRANGE:
-        return LagrangeState.from_field(f0)
-    return f0
-
-
-def state_field(state) -> Field2D:
-    """The transported field carried by any scheme state."""
-    if isinstance(state, MicroMacroState):
-        return state.to_field()
-    if isinstance(state, LagrangeState):
-        return state.f
-    return state
-
-
-def state_mass(state) -> float:
-    if isinstance(state, MicroMacroState):
-        ny1 = state.h.grid.ny - 1
-        return float(ny1 * state.H.sum() + state.h.values.sum())
-    if isinstance(state, LagrangeState):
-        return float(state.f.values.sum())
-    return float(state.values.sum())
-
-
-# ---------------------------------------------------------------------------
-# public one-step entry points
-
-
-def step_imex(f: Field2D, cfg: AlignedSchemeConfig) -> Field2D:
-    """One implicit-explicit step; raises SingularMatrixError at eps = 0."""
-    return ImexStepper(cfg).step(f)[0]
-
-
-def step_fourier(f: Field2D, cfg: AlignedSchemeConfig) -> Field2D:
-    """One step in partial Fourier space; well defined for every eps >= 0."""
-    return FourierStepper(cfg).step(f)[0]
-
-
-def step_micromacro(s: MicroMacroState, cfg: AlignedSchemeConfig) -> MicroMacroState:
-    """Advance mean and fluctuation; at eps = 0 the fluctuation is dropped."""
-    return MicroMacroStepper(cfg).step(s)[0]
-
-
-def step_lagrange_aligned(s: LagrangeState, cfg: AlignedSchemeConfig) -> LagrangeState:
-    """Advance the multiplier form by one step; solvable for every eps >= 0."""
-    return LagrangeAlignedStepper(cfg).step(s)[0]
-
-
-# ---------------------------------------------------------------------------
-# driver
-
-
 def run_aligned(cfg: AlignedSchemeConfig, n_steps: int,
                 snapshot_times=None) -> RunResult:
-    """Iterate the selected scheme from the sampled initial condition.
-
-    Snapshot times must sit on the time grid (multiples of dt, within the
-    run); misaligned requests are rejected rather than interpolated. Mass
-    and solver residuals are recorded every step.
-    """
-    if n_steps < 0:
-        raise ValueError("n_steps must be >= 0")
-    t_end = n_steps * cfg.dt
-    if snapshot_times is None:
-        snapshot_times = [0.0, t_end] if n_steps > 0 else [0.0]
-    snap_steps = _snapshot_steps(snapshot_times, cfg.dt, n_steps)
-
-    t0 = _time.perf_counter()
-    f0 = sample(cfg.grid, cfg.model.f_in, 0.0)
-    state = initial_state(cfg, f0)
-    stepper = make_aligned_stepper(cfg)
-
-    result = RunResult()
-    result.diagnostics.append(StepRecord(0, 0.0, state_mass(state)))
-    if 0 in snap_steps:
-        result.snapshots.append((0.0, state_field(state)))
-    for n in range(1, n_steps + 1):
-        try:
-            state, stats = stepper.step(state)
-        except Exception as exc:
-            exc.args = (f"step {n}: {exc}",) + exc.args[1:]
-            raise
-        t = n * cfg.dt
-        result.diagnostics.append(
-            StepRecord(n, t, state_mass(state), stats.residual_norm, stats.iterations))
-        if n in snap_steps:
-            result.snapshots.append((t, state_field(state)))
-    result.manifest = {
-        "scheme": cfg.scheme.value,
-        "eps": cfg.model.eps,
-        "a": cfg.model.a,
-        "b": cfg.model.b,
-        "dt": cfg.dt,
-        "n_steps": n_steps,
-        "grid": [cfg.grid.x_min, cfg.grid.x_max, cfg.grid.y_min, cfg.grid.y_max,
-                 cfg.grid.nx, cfg.grid.ny],
-        "wall_time_s": _time.perf_counter() - t0,
-    }
-    return result
-
-
-def _snapshot_steps(snapshot_times, dt: float, n_steps: int) -> set:
-    steps = set()
-    for t in snapshot_times:
-        n = round(t / dt)
-        if abs(t - n * dt) > 1e-9 * max(dt, abs(t)) or n < 0 or n > n_steps:
-            raise ValueError(f"snapshot time {t} is not a step multiple within the run")
-        steps.add(int(n))
-    return steps
+    """Iterate the selected scheme from the sampled initial condition."""
+    return run_steps(cfg, make_aligned_stepper, n_steps, snapshot_times,
+                     {"a": cfg.model.a, "b": cfg.model.b})

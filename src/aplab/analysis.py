@@ -14,8 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .aligned_schemes import (AlignedScheme, AlignedSchemeConfig,
-                              aligned_lagrange_matrix, initial_state,
-                              make_aligned_stepper, state_field)
+                              aligned_lagrange_matrix, make_aligned_stepper)
 from .grid import Field2D
 from .linalg import (ConvergenceError, CyclicTridiag, SingularMatrixError,
                      SparseMatrix, cond2)
@@ -172,11 +171,11 @@ def measure_xi(scheme, cfg: AlignedSchemeConfig, k: int, l: int,
     phase = ((2.0 * np.pi / grid.lx) * k * x[:, None]
              + (2.0 * np.pi / grid.ly) * l * y[None, :])
 
+    stepper = make_aligned_stepper(cfg)
+
     def one_step(values: np.ndarray) -> np.ndarray:
-        state = initial_state(cfg, Field2D(grid, values))
-        stepper = make_aligned_stepper(cfg)
-        state, _ = stepper.step(state)
-        return state_field(state).values
+        state, _ = stepper.step(stepper.initial(Field2D(grid, values)))
+        return state.field.values
 
     w = one_step(amplitude * np.cos(phase)) + 1j * one_step(amplitude * np.sin(phase))
     coeff = np.mean(w * np.exp(-1j * phase))

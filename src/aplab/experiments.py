@@ -151,11 +151,24 @@ class ExperimentConfig:
                 raise ValueError(f"key '{key}': must be > 0")
         if "ic" in p and p["ic"] not in INITIAL_CONDITIONS:
             raise ValueError(f"key 'ic': unknown initial condition '{p['ic']}'")
-        if "schemes" in p and not p["schemes"]:
-            raise ValueError("key 'schemes': must not be empty")
+        if "schemes" in p:
+            known = [k.value for k in
+                     (RotatingScheme if self.kind == "rotating-run" else AlignedScheme)]
+            if not p["schemes"] or any(s not in known for s in p["schemes"]):
+                raise ValueError(f"key 'schemes': must be a non-empty list of "
+                                 f"{', '.join(known)}, got {p['schemes']}")
         if "eps_list" in p:
             if not p["eps_list"] or any(not (e >= 0.0) for e in p["eps_list"]):
                 raise ValueError("key 'eps_list': entries must be >= 0")
+        for key in ("schemes", "eps_list"):
+            # repeated entries would write the same output files twice
+            if key in p and len(set(p[key])) != len(p[key]):
+                raise ValueError(f"key '{key}': entries must be distinct")
+        if self.kind == "rotating-run" and "imp" in p["schemes"] and 0.0 in p["eps_list"]:
+            raise ValueError("key 'eps_list': the fully implicit scheme 'imp' needs eps > 0")
+        if self.kind == "eps-sweep" and 0.0 in p["eps_list"]:
+            raise ValueError("key 'eps_list': the exact solution eps-sweep compares "
+                             "against needs eps > 0")
         if "vary" in p and p["vary"] not in ("dx", "dy", "dt"):
             raise ValueError(f"key 'vary': must be dx, dy or dt, got '{p['vary']}'")
         if "toy" in p and p["toy"] not in (1, 2):
@@ -187,7 +200,15 @@ def load_configs(config_path: str) -> list:
         name = entry.pop("name", None)
         if len(entries) > 1 and name is None:
             name = f"{kind}-{idx}"
+        if name is not None and (not isinstance(name, str) or name in ("", ".")
+                                 or any(c in name for c in ("/", "\\", ".."))):
+            raise ValueError(f"config entry {idx}: name {name!r} is not a plain directory name")
         configs.append(ExperimentConfig(kind, entry, name))
+    names = [c.name for c in configs]
+    for name in names:
+        if names.count(name) > 1:
+            raise ValueError(f"config entries share the name '{name}'; each needs its own "
+                             "output directory")
     return configs
 
 
@@ -203,12 +224,13 @@ def _fmt(value) -> str:
     return f"{float(value):.16e}"
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _write_csv(path: Path, header, rows) -> Path:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
+    return path
 
 
 def _field_rows(field):
@@ -221,14 +243,15 @@ def _field_rows(field):
             yield (xs[i], ys[j], full[i, j])
 
 
-def _write_field(path: Path, field) -> None:
-    _write_csv(path, ["x", "y", "value"], _field_rows(field))
-
-
-def _write_diagnostics(path: Path, records) -> None:
-    _write_csv(path, ["step", "t", "mass", "residual_norm", "iterations"],
-               ((r.step, r.t, r.mass, r.residual_norm, r.iterations)
-                for r in records))
+def _write_run(out: Path, tag: str, result) -> list:
+    """Snapshot fields and per-step diagnostics of one run."""
+    files = [_write_csv(out / f"field_{tag}_snap{idx}.csv", ["x", "y", "value"],
+                        _field_rows(fld))
+             for idx, (_, fld) in enumerate(result.snapshots)]
+    files.append(_write_csv(
+        out / f"diagnostics_{tag}.csv", ["step", "t", "mass", "residual_norm", "iterations"],
+        ((r.step, r.t, r.mass, r.residual_norm, r.iterations) for r in result.diagnostics)))
+    return files
 
 
 def _sha256(path: Path) -> str:
@@ -236,151 +259,131 @@ def _sha256(path: Path) -> str:
 
 
 def _eps_tag(eps: float) -> str:
-    return f"{eps:.0e}".replace("+", "").replace("-", "m")
+    """Shortest exact scientific form of eps, file-name safe: 1.4e-03 -> 1.4em03."""
+    return np.format_float_scientific(float(eps), trim="-").replace("+", "").replace("-", "m")
 
 
-def _gnuplot(path: Path, lines) -> None:
-    path.write_text("set datafile separator \",\"\nset key outside\n"
-                    + "\n".join(lines) + "\n", encoding="utf-8")
+def _plots(files, style: str) -> list:
+    """One gnuplot line per two-column CSV, titled by its file name."""
+    return [f"plot \"{f.name}\" skip 1 using 1:2 with {style} title \"{f.stem}\""
+            for f in files]
 
 
 # ---------------------------------------------------------------------------
-# experiment kinds
+# experiment kinds; each runner writes its CSVs and returns them with the
+# lines of its gnuplot script
 
 
-def _aligned_config(p: dict, scheme: str, eps: float,
-                    nx=None, ny=None, nt=None, a=None, ic=None):
+def _aligned_config(p: dict, scheme: str, eps: float) -> AlignedSchemeConfig:
     grid = make_grid2d(p["x_min"], p["x_max"], p["y_min"], p["y_max"],
-                       int(nx or p["nx"]), int(ny or p["ny"]))
-    model = AlignedModel(a=p["a"] if a is None else a, b=p["b"],
-                         eps=eps, f_in=INITIAL_CONDITIONS[ic or p["ic"]])
-    dt = p["t_end"] / (int(nt or p["nt"]) - 1)
-    return AlignedSchemeConfig(model, grid, dt, AlignedScheme(scheme))
+                       int(p["nx"]), int(p["ny"]))
+    model = AlignedModel(a=p["a"], b=p["b"], eps=eps, f_in=INITIAL_CONDITIONS[p["ic"]])
+    return AlignedSchemeConfig(model, grid, p["t_end"] / (int(p["nt"]) - 1),
+                               AlignedScheme(scheme))
 
 
-def _run_aligned_run(cfg: ExperimentConfig, out: Path) -> list:
+def _rotating_config(p: dict, scheme: str, eps: float) -> RotatingSchemeConfig:
+    grid = make_grid2d(p["x_min"], p["x_max"], p["y_min"], p["y_max"],
+                       int(p["nx"]), int(p["ny"]))
+    model = RotatingModel(eps, INITIAL_CONDITIONS[p["ic"]])
+    return RotatingSchemeConfig(model, grid, p["t_end"] / (int(p["nt"]) - 1),
+                                gamma=p["gamma"], scheme=RotatingScheme(scheme))
+
+
+def _runs(p: dict, config, run):
+    """``run(config(p, scheme, eps), nt - 1)`` for every (scheme, eps) pair in
+    order; yields (scheme, eps, scheme config, result)."""
+    for scheme in p["schemes"]:
+        for eps in p["eps_list"]:
+            scfg = config(p, scheme, eps)
+            yield scheme, eps, scfg, run(scfg, int(p["nt"]) - 1)
+
+
+def _slope_row(label: str, steps, values, fit: bool = True) -> tuple:
+    """(label, fitted log-log slope, spread max/min - 1) of one series."""
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        return label, float("nan"), float("nan")
+    spread = float(values.max() / values.min() - 1.0)
+    if not fit:
+        return label, float("nan"), spread
+    order = np.argsort(steps)[::-1]
+    table = ConvergenceTable(np.asarray(steps, dtype=float)[order], values[order])
+    fit_loglog_slope(table)
+    return label, table.fitted_slope, spread
+
+
+def _aligned_errors(scfg: AlignedSchemeConfig, result) -> tuple:
+    """(t, eta, gamma) at the last snapshot: errors against the exact solution
+    (NaN at eps = 0, where it is undefined) and against the limit profile."""
+    t_end, final = result.snapshots[-1]
+    m, grid = scfg.model, scfg.grid
+    eta = error_eta(final, exact_aligned(m, t_end, grid)) if m.eps > 0.0 else float("nan")
+    return t_end, eta, error_gamma(final, limit_aligned(m, t_end, grid))
+
+
+def _run_aligned_run(cfg: ExperimentConfig, out: Path) -> tuple:
     p = cfg.params
     files = []
     error_rows = []
-    for scheme in p["schemes"]:
-        for eps in p["eps_list"]:
-            scfg = _aligned_config(p, scheme, eps)
-            n_steps = int(p["nt"]) - 1
-            result = run_aligned(scfg, n_steps)
-            tag = f"{scheme}_eps{_eps_tag(eps)}"
-            for idx, (t, fld) in enumerate(result.snapshots):
-                path = out / f"field_{tag}_snap{idx}.csv"
-                _write_field(path, fld)
-                files.append(path)
-            path = out / f"diagnostics_{tag}.csv"
-            _write_diagnostics(path, result.diagnostics)
-            files.append(path)
-            t_end, final = result.snapshots[-1]
-            if eps > 0.0:
-                eta = error_eta(final, exact_aligned(scfg.model, t_end, scfg.grid))
-            else:
-                eta = float("nan")
-            gamma = error_gamma(final, limit_aligned(scfg.model, t_end, scfg.grid))
-            error_rows.append((scheme, eps, t_end, eta, gamma))
-    path = out / "errors.csv"
-    _write_csv(path, ["scheme", "eps", "t", "eta", "gamma"], error_rows)
-    files.append(path)
-    gp = out / "plot.gp"
-    _gnuplot(gp, [f"splot \"{f.name}\" every ::1 using 1:2:3 with points palette"
-                  for f in files if f.name.startswith("field_")][:4])
-    files.append(gp)
-    return files
+    for scheme, eps, scfg, result in _runs(p, _aligned_config, run_aligned):
+        files += _write_run(out, f"{scheme}_eps{_eps_tag(eps)}", result)
+        error_rows.append((scheme, eps, *_aligned_errors(scfg, result)))
+    plots = [f"splot \"{f.name}\" every ::1 using 1:2:3 with points palette"
+             for f in files if f.name.startswith("field_")][:4]
+    files.append(_write_csv(out / "errors.csv", ["scheme", "eps", "t", "eta", "gamma"],
+                            error_rows))
+    return files, plots
 
 
-def _run_rotating_run(cfg: ExperimentConfig, out: Path) -> list:
+def _run_rotating_run(cfg: ExperimentConfig, out: Path) -> tuple:
     p = cfg.params
     files = []
     summary = []
-    for scheme in p["schemes"]:
-        for eps in p["eps_list"]:
-            grid = make_grid2d(p["x_min"], p["x_max"], p["y_min"], p["y_max"],
-                               int(p["nx"]), int(p["ny"]))
-            model = RotatingModel(eps, INITIAL_CONDITIONS[p["ic"]])
-            dt = p["t_end"] / (int(p["nt"]) - 1)
-            scfg = RotatingSchemeConfig(model, grid, dt, gamma=p["gamma"],
-                                        scheme=RotatingScheme(scheme))
-            result = run_rotating(scfg, int(p["nt"]) - 1)
-            tag = f"{scheme}_eps{_eps_tag(eps)}"
-            for idx, (t, fld) in enumerate(result.snapshots):
-                path = out / f"field_{tag}_snap{idx}.csv"
-                _write_field(path, fld)
-                files.append(path)
-            path = out / f"diagnostics_{tag}.csv"
-            _write_diagnostics(path, result.diagnostics)
-            files.append(path)
-            t_end, final = result.snapshots[-1]
-            # cut along the column nearest x = 0, as in the reference plots
-            i_cut = int(np.argmin(np.abs(grid.x_nodes())))
-            ys = grid.y_nodes()
-            path = out / f"cut_{tag}.csv"
-            _write_csv(path, ["y", "value"],
-                       ((ys[j], final.values[i_cut, j]) for j in range(grid.ny - 1)))
-            files.append(path)
-            radius = min(1.0, 0.5 * min(grid.lx, grid.ly) / 2.0)
-            summary.append((scheme, eps, t_end, float(final.values.max()),
-                            circle_average(final, radius)))
-    path = out / "summary.csv"
-    _write_csv(path, ["scheme", "eps", "t", "peak", "circle_avg"], summary)
-    files.append(path)
-    gp = out / "plot.gp"
-    _gnuplot(gp, [f"plot \"{f.name}\" skip 1 using 1:2 with lines title \"{f.stem}\""
-                  for f in files if f.name.startswith("cut_")])
-    files.append(gp)
-    return files
+    for scheme, eps, scfg, result in _runs(p, _rotating_config, run_rotating):
+        tag = f"{scheme}_eps{_eps_tag(eps)}"
+        files += _write_run(out, tag, result)
+        t_end, final = result.snapshots[-1]
+        grid = scfg.grid
+        # cut along the column nearest x = 0, as in the reference plots
+        i_cut = int(np.argmin(np.abs(grid.x_nodes())))
+        ys = grid.y_nodes()
+        files.append(_write_csv(out / f"cut_{tag}.csv", ["y", "value"],
+                                ((ys[j], final.values[i_cut, j]) for j in range(grid.ny - 1))))
+        radius = min(1.0, 0.5 * min(grid.lx, grid.ly) / 2.0)
+        summary.append((scheme, eps, t_end, float(final.values.max()),
+                        circle_average(final, radius)))
+    files.append(_write_csv(out / "summary.csv", ["scheme", "eps", "t", "peak", "circle_avg"],
+                            summary))
+    return files, _plots([f for f in files if f.name.startswith("cut_")], "lines")
 
 
-def _run_point_trace(cfg: ExperimentConfig, out: Path) -> list:
+def _run_point_trace(cfg: ExperimentConfig, out: Path) -> tuple:
     p = cfg.params
     i_pt, j_pt = int(p["point"][0]), int(p["point"][1])
     n_steps = int(p["nt"]) - 1
     dt = p["t_end"] / n_steps
+    times = [n * dt for n in range(n_steps + 1)]
     files = []
-    for scheme in p["schemes"]:
-        for eps in p["eps_list"]:
-            scfg = _aligned_config(p, scheme, eps)
-            times = [n * dt for n in range(n_steps + 1)]
-            result = run_aligned(scfg, n_steps, snapshot_times=times)
-            tag = f"{scheme}_eps{_eps_tag(eps)}"
-            path = out / f"trace_{tag}.csv"
-            _write_csv(path, ["t", "value"],
-                       ((t, fld.values[i_pt, j_pt]) for t, fld in result.snapshots))
-            files.append(path)
-    gp = out / "plot.gp"
-    _gnuplot(gp, [f"plot \"{f.name}\" skip 1 using 1:2 with lines title \"{f.stem}\""
-                  for f in files])
-    files.append(gp)
-    return files
+    for scheme, eps, _, result in _runs(
+            p, _aligned_config, lambda c, n: run_aligned(c, n, snapshot_times=times)):
+        files.append(_write_csv(out / f"trace_{scheme}_eps{_eps_tag(eps)}.csv", ["t", "value"],
+                                ((t, fld.values[i_pt, j_pt]) for t, fld in result.snapshots)))
+    return files, _plots(files, "lines")
 
 
-def _run_eps_sweep(cfg: ExperimentConfig, out: Path) -> list:
+def _run_eps_sweep(cfg: ExperimentConfig, out: Path) -> tuple:
     p = cfg.params
-    n_steps = int(p["nt"]) - 1
-    files = []
-    for scheme in p["schemes"]:
-        rows = []
-        for eps in p["eps_list"]:
-            scfg = _aligned_config(p, scheme, eps)
-            result = run_aligned(scfg, n_steps)
-            t_end, final = result.snapshots[-1]
-            eta = error_eta(final, exact_aligned(scfg.model, t_end, scfg.grid))
-            gamma = error_gamma(final, limit_aligned(scfg.model, t_end, scfg.grid))
-            pair = ErrorPair(eta, gamma, t_end, eps)
-            rows.append((pair.eps, pair.t, pair.eta, pair.gamma))
-        path = out / f"errors_{scheme}.csv"
-        _write_csv(path, ["eps", "t", "eta", "gamma"], rows)
-        files.append(path)
-    gp = out / "plot.gp"
-    _gnuplot(gp, ["set logscale x"]
-             + [f"plot \"{f.name}\" skip 1 using 1:3 with linespoints title \"eta\", "
-                f"\"{f.name}\" skip 1 using 1:4 with linespoints title \"gamma\""
-                for f in files])
-    files.append(gp)
-    return files
+    rows = {}
+    for scheme, eps, scfg, result in _runs(p, _aligned_config, run_aligned):
+        t_end, eta, gamma = _aligned_errors(scfg, result)
+        pair = ErrorPair(eta, gamma, t_end, eps)
+        rows.setdefault(scheme, []).append((pair.eps, pair.t, pair.eta, pair.gamma))
+    files = [_write_csv(out / f"errors_{scheme}.csv", ["eps", "t", "eta", "gamma"], r)
+             for scheme, r in rows.items()]
+    return files, ["set logscale x"] + [
+        f"plot \"{f.name}\" skip 1 using 1:3 with linespoints title \"eta\", "
+        f"\"{f.name}\" skip 1 using 1:4 with linespoints title \"gamma\"" for f in files]
 
 
 _SWEEP_SETUPS = {
@@ -390,102 +393,59 @@ _SWEEP_SETUPS = {
     "dt": {"a": 0.0, "ic": "y-cos", "nx": 3, "ny": 8001, "t_end": 4.0},
 }
 _FOURIER_DY_NT = 401
+_VARIED_KEY = {"dx": "nx", "dy": "ny", "dt": "nt"}
 
 
-def _run_convergence(cfg: ExperimentConfig, out: Path) -> list:
+def _run_convergence(cfg: ExperimentConfig, out: Path) -> tuple:
     p = cfg.params
     vary = p["vary"]
-    setup = dict(_SWEEP_SETUPS[vary])
-    base = dict(_ALIGNED_BASE, b=p["b"], **setup)
+    base = dict(_ALIGNED_BASE, b=p["b"], **_SWEEP_SETUPS[vary])
     files = []
     slope_rows = []
     for scheme in p["schemes"]:
         rows = []
         for n in p["n_list"]:
-            n = int(n)
-            kw = {}
-            if vary == "dx":
-                kw["nx"] = n
-            elif vary == "dy":
-                kw["ny"] = n
-                if scheme == "fourier":
-                    kw["nt"] = _FOURIER_DY_NT
-            else:
-                kw["nt"] = n
-            scfg = _aligned_config(base, scheme, p["eps"], **kw)
-            n_steps = int(kw.get("nt", base["nt"])) - 1
-            result = run_aligned(scfg, n_steps)
+            q = dict(base, **{_VARIED_KEY[vary]: int(n)})
+            if vary == "dy" and scheme == "fourier":
+                q["nt"] = _FOURIER_DY_NT
+            scfg = _aligned_config(q, scheme, p["eps"])
+            result = run_aligned(scfg, int(q["nt"]) - 1)
             t_end, final = result.snapshots[-1]
             eta = error_eta(final, exact_aligned(scfg.model, t_end, scfg.grid))
-            step = {"dx": scfg.grid.dx, "dy": scfg.grid.dy, "dt": scfg.dt}[vary]
-            rows.append((step, eta))
-        path = out / f"errors_{vary}_{scheme}.csv"
-        _write_csv(path, [vary, "eta"], rows)
-        files.append(path)
-        steps = np.array([r[0] for r in rows])
-        errs = np.array([r[1] for r in rows])
-        order = np.argsort(steps)[::-1]
-        if scheme == "fourier":
-            # spectral in y: the error is step-independent, no slope to fit
-            flatness = float(errs.max() / errs.min() - 1.0)
-            slope_rows.append((scheme, float("nan"), flatness))
-        else:
-            table = ConvergenceTable(steps[order], errs[order])
-            fit_loglog_slope(table)
-            slope_rows.append((scheme, table.fitted_slope,
-                               float(errs.max() / errs.min() - 1.0)))
-    path = out / "slopes.csv"
-    _write_csv(path, ["scheme", "slope", "spread"], slope_rows)
-    files.append(path)
-    gp = out / "plot.gp"
-    _gnuplot(gp, ["set logscale xy"]
-             + [f"plot \"{f.name}\" skip 1 using 1:2 with linespoints title \"{f.stem}\""
-                for f in files if f.name.startswith("errors_")])
-    files.append(gp)
-    return files
+            rows.append(({"dx": scfg.grid.dx, "dy": scfg.grid.dy, "dt": scfg.dt}[vary], eta))
+        files.append(_write_csv(out / f"errors_{vary}_{scheme}.csv", [vary, "eta"], rows))
+        # spectral in y: the Fourier error is step-independent, no slope to fit
+        slope_rows.append(_slope_row(scheme, [r[0] for r in rows], [r[1] for r in rows],
+                                     fit=scheme != "fourier"))
+    plots = ["set logscale xy"] + _plots(files, "linespoints")
+    files.append(_write_csv(out / "slopes.csv", ["scheme", "slope", "spread"], slope_rows))
+    return files, plots
 
 
-def _run_cond_sweep(cfg: ExperimentConfig, out: Path) -> list:
+def _run_cond_sweep(cfg: ExperimentConfig, out: Path) -> tuple:
     p = cfg.params
     eps_list = sorted(p["eps_list"], reverse=True)
-    families = []
     if p["toy"] == 1:
         m = int(p["ny"]) - 1
-        for scheme in (AlignedScheme.IMEX, AlignedScheme.MICRO_MACRO,
-                       AlignedScheme.LAGRANGE):
-            families.append((scheme.value, cond_family_aligned(scheme, m, p["beta"])))
+        families = [(s.value, cond_family_aligned(s, m, p["beta"]))
+                    for s in (AlignedScheme.IMEX, AlignedScheme.MICRO_MACRO,
+                              AlignedScheme.LAGRANGE)]
     else:
         grid = make_grid2d(-3.0, 3.0, -3.0, 3.0, int(p["rot_n"]), int(p["rot_n"]))
-        for scheme in (RotatingScheme.IMP, RotatingScheme.LAGRANGE):
-            families.append((scheme.value,
-                             cond_family_rotating(scheme, grid, p["rot_dt"], p["gamma"])))
+        families = [(s.value, cond_family_rotating(s, grid, p["rot_dt"], p["gamma"]))
+                    for s in (RotatingScheme.IMP, RotatingScheme.LAGRANGE)]
     files = []
     slope_rows = []
     for label, family in families:
         table = cond_sweep(family, eps_list)
-        path = out / f"cond_{label}.csv"
-        _write_csv(path, ["eps", "cond2"], table)
-        files.append(path)
-        vals = np.array([v for _, v in table])
-        if np.all(np.isfinite(vals)):
-            ct = ConvergenceTable(np.array(eps_list), vals)
-            fit_loglog_slope(ct)
-            slope_rows.append((label, ct.fitted_slope,
-                               float(vals.max() / vals.min() - 1.0)))
-        else:
-            slope_rows.append((label, float("nan"), float("nan")))
-    path = out / "slopes.csv"
-    _write_csv(path, ["scheme", "slope", "spread"], slope_rows)
-    files.append(path)
-    gp = out / "plot.gp"
-    _gnuplot(gp, ["set logscale xy"]
-             + [f"plot \"{f.name}\" skip 1 using 1:2 with linespoints title \"{f.stem}\""
-                for f in files if f.name.startswith("cond_")])
-    files.append(gp)
-    return files
+        files.append(_write_csv(out / f"cond_{label}.csv", ["eps", "cond2"], table))
+        slope_rows.append(_slope_row(label, eps_list, [v for _, v in table]))
+    plots = ["set logscale xy"] + _plots(files, "linespoints")
+    files.append(_write_csv(out / "slopes.csv", ["scheme", "slope", "spread"], slope_rows))
+    return files, plots
 
 
-def _run_stability_scan(cfg: ExperimentConfig, out: Path) -> list:
+def _run_stability_scan(cfg: ExperimentConfig, out: Path) -> tuple:
     p = cfg.params
     n = int(p["n"])
     grid = make_grid2d(0.0, 2.0 * np.pi, 0.0, 2.0 * np.pi, n, n)
@@ -498,14 +458,11 @@ def _run_stability_scan(cfg: ExperimentConfig, out: Path) -> list:
         worst = max(measure_xi(AlignedScheme.IMEX, scfg, k, 0)
                     for k in range(0, (grid.nx + 1) // 2))
         rows.append((float(alpha), worst))
-    path = out / "stability.csv"
-    _write_csv(path, ["alpha", "max_xi"], rows)
-    gp = out / "plot.gp"
-    _gnuplot(gp, [f"plot \"stability.csv\" skip 1 using 1:2 with linespoints, 1.0"])
-    return [path, gp]
+    return ([_write_csv(out / "stability.csv", ["alpha", "max_xi"], rows)],
+            ["plot \"stability.csv\" skip 1 using 1:2 with linespoints, 1.0"])
 
 
-def _run_amplification_check(cfg: ExperimentConfig, out: Path) -> list:
+def _run_amplification_check(cfg: ExperimentConfig, out: Path) -> tuple:
     p = cfg.params
     n = int(p["n"])
     grid = make_grid2d(0.0, 2.0 * np.pi, 0.0, 2.0 * np.pi, n, n)
@@ -523,12 +480,9 @@ def _run_amplification_check(cfg: ExperimentConfig, out: Path) -> list:
                                       grid.dx, grid.dy)
                     rows.append((scheme, eps, int(k), int(l), measured, formula,
                                  abs(measured - formula)))
-    path = out / "amplification.csv"
-    _write_csv(path, ["scheme", "eps", "k", "l", "measured", "formula", "abs_diff"],
-               rows)
-    gp = out / "plot.gp"
-    _gnuplot(gp, ["plot \"amplification.csv\" skip 1 using 5:6 with points"])
-    return [path, gp]
+    path = _write_csv(out / "amplification.csv",
+                      ["scheme", "eps", "k", "l", "measured", "formula", "abs_diff"], rows)
+    return [path], ["plot \"amplification.csv\" skip 1 using 5:6 with points"]
 
 
 _RUNNERS = {
@@ -542,6 +496,8 @@ _RUNNERS = {
     "amplification-check": _run_amplification_check,
 }
 
+_NUMERICAL_FAILURES = (SingularMatrixError, ConvergenceError, FloatingPointError, ValueError)
+
 
 def _execute_one(task) -> tuple:
     kind, params, name, out_base = task
@@ -549,7 +505,15 @@ def _execute_one(task) -> tuple:
     out = Path(out_base) / name
     out.mkdir(parents=True, exist_ok=True)
     t0 = _time.perf_counter()
-    files = _RUNNERS[kind](cfg, out)
+    try:
+        files, plot_lines = _RUNNERS[kind](cfg, out)
+    except _NUMERICAL_FAILURES as exc:
+        exc.args = (f"in {name}: {exc}",) + exc.args[1:]
+        raise
+    gp = out / "plot.gp"
+    gp.write_text("set datafile separator \",\"\nset key outside\n"
+                  + "\n".join(plot_lines) + "\n", encoding="utf-8")
+    files.append(gp)
     manifest = {
         "config": {"kind": kind, "name": name, **params},
         "outputs": [{"path": f.name, "sha256": _sha256(f)} for f in files],
@@ -566,7 +530,7 @@ def run_experiment(config_path: str, out_dir: str | None = None,
     """Run every experiment in a config file; returns the process exit code.
 
     0 on success, 1 for config errors (the message names the offending key),
-    2 for numerical failures inside an experiment.
+    2 for numerical failures inside an experiment (the message names it).
     """
     try:
         configs = load_configs(config_path)
@@ -581,9 +545,8 @@ def run_experiment(config_path: str, out_dir: str | None = None,
                 results = list(pool.map(_execute_one, tasks))
         else:
             results = [_execute_one(t) for t in tasks]
-    except (SingularMatrixError, ConvergenceError, FloatingPointError,
-            ValueError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+    except _NUMERICAL_FAILURES as exc:
+        print(f"numerical failure {exc}", file=sys.stderr)
         return 2
     for name, files in results:
         print(f"{name}: {len(files)} files")

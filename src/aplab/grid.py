@@ -8,7 +8,7 @@ independent unknowns are stored; the alias is materialized at output time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,6 +101,14 @@ class Field2D:
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "time", float(self.time))
+
+    @property
+    def field(self) -> "Field2D":
+        """A plain field is its own scheme state."""
+        return self
+
+    def mass(self) -> float:
+        return float(self.values.sum())
 
     def at(self, i: int, j: int) -> float:
         """Value at 1-based node indices, aliased nodes included."""

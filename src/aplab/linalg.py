@@ -1,4 +1,4 @@
-"""Structured and general sparse linear solvers, direct DFT, conditioning.
+"""Structured and general sparse linear solvers, DFT along y, conditioning.
 
 Every implicit scheme routes through here: the per-column cyclic systems of
 the first toy model through ``solve_cyclic``, the global systems of the
@@ -24,6 +24,10 @@ __all__ = [
 ]
 
 PIVOT_BREAKDOWN = 1e-30
+SOLVE_TOL = 1e-12  # relative residual bound of SparseFactor.solve
+MAX_REFINE = 10  # refinement passes SparseFactor.solve may take
+COND_TOL = 1e-6  # relative accuracy cond2's power iterations stop at
+COND_MAX_ITER = 10000
 
 _DEKKER = 134217729.0  # 2**27 + 1, splits a double into two 26-bit halves
 
@@ -99,12 +103,11 @@ class CyclicTridiag:
         return a
 
     def to_sparse(self) -> "SparseMatrix":
-        rows = np.concatenate([np.arange(self.n), np.arange(1, self.n), [0]])
-        cols = np.concatenate([np.arange(self.n), np.arange(self.n - 1), [self.n - 1]])
-        vals = np.concatenate([np.full(self.n, self.d), np.full(self.n, self.s)])
-        if self.n == 1:
-            rows, cols, vals = rows[:1], cols[:1], np.array([self.d + self.s])
-        return assemble(self.n, self.n, list(zip(rows.tolist(), cols.tolist(), vals.tolist())))
+        # at n = 1 the corner entry falls on the diagonal and is summed into it
+        j = np.arange(self.n)
+        return assemble(self.n, self.n, np.concatenate([j, j[1:], [0]]),
+                        np.concatenate([j, j[:-1], [self.n - 1]]),
+                        np.concatenate([np.full(self.n, self.d), np.full(self.n, self.s)]))
 
 
 def _cyclic_sweep(d: float, s: float, rhs: np.ndarray) -> np.ndarray:
@@ -183,56 +186,22 @@ class SparseMatrix:
     csr: sp.csr_matrix
 
     @property
-    def n_rows(self) -> int:
-        return self.csr.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.csr.shape[1]
-
-    @property
     def shape(self) -> tuple[int, int]:
         return self.csr.shape
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self.csr @ x
 
-    def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        return self.csr.T @ x
-
     def to_dense(self) -> np.ndarray:
         return self.csr.toarray()
 
 
-def assemble(n_rows: int, n_cols: int, triplets) -> SparseMatrix:
-    """Build a SparseMatrix from (row, col, value) triplets, 0-based indices.
+def assemble(n_rows: int, n_cols: int, rows, cols, vals) -> SparseMatrix:
+    """Build a SparseMatrix from coordinate arrays, 0-based indices.
 
     Duplicate coordinates are summed. Raises IndexError for out-of-range
     indices and ValueError for non-finite values.
     """
-    triplets = list(triplets)
-    if triplets:
-        rows = np.asarray([t[0] for t in triplets], dtype=np.int64)
-        cols = np.asarray([t[1] for t in triplets], dtype=np.int64)
-        vals = np.asarray([t[2] for t in triplets], dtype=float)
-    else:
-        rows = np.zeros(0, dtype=np.int64)
-        cols = np.zeros(0, dtype=np.int64)
-        vals = np.zeros(0)
-    if rows.size:
-        if rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_cols:
-            raise IndexError(f"triplet index out of range for {n_rows} x {n_cols}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("non-finite triplet value")
-    coo = sp.coo_matrix((vals, (rows, cols)), shape=(n_rows, n_cols))
-    csr = coo.tocsr()
-    csr.sum_duplicates()
-    return SparseMatrix(csr)
-
-
-def assemble_arrays(n_rows: int, n_cols: int, rows: np.ndarray, cols: np.ndarray,
-                    vals: np.ndarray) -> SparseMatrix:
-    """Array-based variant of ``assemble`` for large stencils."""
     rows = np.asarray(rows, dtype=np.int64).ravel()
     cols = np.asarray(cols, dtype=np.int64).ravel()
     vals = np.asarray(vals, dtype=float).ravel()
@@ -253,7 +222,6 @@ class SolveStats:
 
     residual_norm: float
     iterations: int
-    method: str = "direct"
 
 
 class SparseFactor:
@@ -263,7 +231,7 @@ class SparseFactor:
     """
 
     def __init__(self, M: SparseMatrix):
-        if M.n_rows != M.n_cols:
+        if M.shape[0] != M.shape[1]:
             raise ValueError(f"matrix must be square, got {M.shape}")
         self.matrix = M
         self.norm1 = float(abs(M.csr).sum(axis=0).max()) if M.csr.nnz else 0.0
@@ -277,9 +245,8 @@ class SparseFactor:
     def raw_solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
         return self._lu.solve(np.asarray(rhs, dtype=float), trans=trans)
 
-    def solve(self, rhs: np.ndarray, tol: float = 1e-12,
-              max_refine: int = 10) -> tuple[np.ndarray, SolveStats]:
-        """Solve with iterative refinement down to ``tol * max(1, |rhs|_2)``.
+    def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, SolveStats]:
+        """Solve with iterative refinement down to ``SOLVE_TOL * max(1, |rhs|_2)``.
 
         Works on (n,) vectors and (n, k) batches (the bound is enforced per
         column). The effective tolerance is floored at 100*eps*|M|_1 because
@@ -290,12 +257,12 @@ class SparseFactor:
         """
         rhs = np.asarray(rhs, dtype=float)
         A = self.matrix.csr
-        eff_tol = max(tol, 100.0 * np.finfo(float).eps * max(1.0, self.norm1))
+        eff_tol = max(SOLVE_TOL, 100.0 * np.finfo(float).eps * max(1.0, self.norm1))
         x = self._lu.solve(rhs)
         its = 0
         scale = np.maximum(1.0, np.linalg.norm(rhs, axis=0))
         rel = np.max(np.linalg.norm(rhs - A @ x, axis=0) / scale)
-        while its < max_refine and np.isfinite(rel) and rel > 0.05 * eff_tol:
+        while its < MAX_REFINE and np.isfinite(rel) and rel > 0.05 * eff_tol:
             x_next = x + self._lu.solve(rhs - A @ x)
             rel_next = np.max(np.linalg.norm(rhs - A @ x_next, axis=0) / scale)
             if not (rel_next < rel):
@@ -305,29 +272,28 @@ class SparseFactor:
         if not np.isfinite(rel) or rel > eff_tol:
             raise ConvergenceError(
                 f"sparse solve stalled at relative residual {rel:.3e} (tol {eff_tol:.1e})")
-        return x, SolveStats(float(rel), its, "direct")
+        return x, SolveStats(float(rel), its)
 
 
-def solve_sparse(M: SparseMatrix, rhs: np.ndarray,
-                 tol: float = 1e-12) -> tuple[np.ndarray, SolveStats]:
-    """Direct sparse LU solve of ``M x = rhs`` with refinement to ``tol``."""
-    return SparseFactor(M).solve(rhs, tol=tol)
+def solve_sparse(M: SparseMatrix, rhs: np.ndarray) -> tuple[np.ndarray, SolveStats]:
+    """Direct sparse LU solve of ``M x = rhs`` with refinement to ``SOLVE_TOL``."""
+    return SparseFactor(M).solve(rhs)
 
 
 # ---------------------------------------------------------------------------
 # condition number
 
 
-def _iterate_extreme(apply_op, v0: np.ndarray, max_iter: int, tol: float):
+def _iterate_extreme(apply_op, v0: np.ndarray):
     """Power iteration on an SPD operator; returns its top eigenvalue.
 
     Stops when the geometric-series estimate of the remaining relative error
-    drops below ``tol``. Returns (eigenvalue, converged_flag, last_change).
+    drops below ``COND_TOL``. Returns (eigenvalue, converged_flag, last_change).
     """
     v = v0 / np.linalg.norm(v0)
     lam_prev = 0.0
     change_prev = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, COND_MAX_ITER + 1):
         w = apply_op(v)
         nw = np.linalg.norm(w)
         if nw == 0.0:
@@ -339,34 +305,34 @@ def _iterate_extreme(apply_op, v0: np.ndarray, max_iter: int, tol: float):
             ratio = change / change_prev if change_prev > 0 else 0.0
             ratio = min(ratio, 0.999)
             remaining = change * ratio / (1.0 - ratio)
-            if remaining <= tol * abs(lam) or change == 0.0:
+            if remaining <= COND_TOL * abs(lam) or change == 0.0:
                 return lam, True, change / max(abs(lam), 1e-300)
         lam_prev = lam
         change_prev = change if change > 0 else change_prev
     rel = change / max(abs(lam), 1e-300)
-    return lam, rel <= 100 * tol, rel
+    return lam, rel <= 100 * COND_TOL, rel
 
 
-def cond2(M: SparseMatrix, max_iter: int = 10000, tol: float = 1e-6) -> float:
+def cond2(M: SparseMatrix) -> float:
     """2-norm condition number estimate sigma_max / sigma_min.
 
     sigma_max comes from power iteration on M^T M, sigma_min from inverse
     iteration through a sparse LU factorization (two triangular solves per
     step, never an explicit inverse). Deterministic start vector. Raises
     SingularMatrixError for singular input and ConvergenceError when the
-    iteration has clearly not settled after ``max_iter``.
+    iteration has clearly not settled after ``COND_MAX_ITER`` iterations.
     """
-    if M.n_rows != M.n_cols:
+    n = M.shape[0]
+    if M.shape[1] != n:
         raise ValueError(f"matrix must be square, got {M.shape}")
-    n = M.n_rows
     A = M.csr
     rng = np.random.default_rng(0x5EED + n)
     v0 = rng.standard_normal(n)
 
-    lam_max, ok_max, rel_max = _iterate_extreme(lambda v: A.T @ (A @ v), v0, max_iter, tol)
+    lam_max, ok_max, rel_max = _iterate_extreme(lambda v: A.T @ (A @ v), v0)
     if not ok_max:
         raise ConvergenceError(
-            f"power iteration for sigma_max not settled after {max_iter} iterations "
+            f"power iteration for sigma_max not settled after {COND_MAX_ITER} iterations "
             f"(last relative change {rel_max:.2e})")
     if lam_max <= 0.0:
         raise SingularMatrixError("matrix has numerically zero largest singular value")
@@ -376,10 +342,10 @@ def cond2(M: SparseMatrix, max_iter: int = 10000, tol: float = 1e-6) -> float:
     def inv_op(v: np.ndarray) -> np.ndarray:
         return factor.raw_solve(factor.raw_solve(v, trans="T"))
 
-    lam_inv, ok_min, rel_min = _iterate_extreme(inv_op, rng.standard_normal(n), max_iter, tol)
+    lam_inv, ok_min, rel_min = _iterate_extreme(inv_op, rng.standard_normal(n))
     if not ok_min:
         raise ConvergenceError(
-            f"inverse iteration for sigma_min not settled after {max_iter} iterations "
+            f"inverse iteration for sigma_min not settled after {COND_MAX_ITER} iterations "
             f"(last relative change {rel_min:.2e})")
     if lam_inv <= 0.0 or not np.isfinite(lam_inv):
         raise SingularMatrixError("matrix has numerically zero smallest singular value")
@@ -387,7 +353,7 @@ def cond2(M: SparseMatrix, max_iter: int = 10000, tol: float = 1e-6) -> float:
 
 
 # ---------------------------------------------------------------------------
-# direct discrete Fourier transform along y
+# discrete Fourier transform along y
 
 
 def dft_wavenumbers(m: int) -> np.ndarray:
@@ -405,7 +371,7 @@ def _dft_matrices(m: int):
 
 
 def dft_y(values: np.ndarray) -> np.ndarray:
-    """Direct O(m^2) DFT: coefficient k = (1/m) sum_j values_j e^{-2pi i k j/m}.
+    """DFT along axis 0: coefficient k = (1/m) sum_j values_j e^{-2pi i k j/m}.
 
     Coefficients are returned in the centered order of ``dft_wavenumbers``.
     """
@@ -413,16 +379,7 @@ def dft_y(values: np.ndarray) -> np.ndarray:
     m = values.shape[0]
     if m < 1:
         raise ValueError("dft needs at least one sample")
-    if m <= 1024:
-        fwd, _ = _dft_matrices(m)
-        return fwd @ values
-    ks = dft_wavenumbers(m)
-    j = np.arange(m)
-    out = np.empty(m, dtype=complex)
-    for start in range(0, m, 256):
-        kk = ks[start:start + 256]
-        out[start:start + 256] = (np.exp(-2j * np.pi * np.outer(kk, j) / m) / m) @ values
-    return out
+    return np.fft.fftshift(np.fft.fft(values, axis=0), axes=0) / m
 
 
 def idft_y(coeffs: np.ndarray) -> np.ndarray:
@@ -431,13 +388,4 @@ def idft_y(coeffs: np.ndarray) -> np.ndarray:
     m = coeffs.shape[0]
     if m < 1:
         raise ValueError("idft needs at least one coefficient")
-    if m <= 1024:
-        _, inv = _dft_matrices(m)
-        return inv @ coeffs
-    ks = dft_wavenumbers(m)
-    j = np.arange(m)
-    out = np.empty(m, dtype=complex)
-    for start in range(0, m, 256):
-        jj = j[start:start + 256]
-        out[start:start + 256] = np.exp(2j * np.pi * np.outer(jj, ks) / m) @ coeffs
-    return out
+    return np.fft.ifft(np.fft.ifftshift(coeffs, axes=0), axis=0) * m

@@ -1,12 +1,13 @@
-"""Run outputs shared by the time-stepping drivers and the experiment runner."""
+"""Run outputs and the time-stepping driver shared by every scheme."""
 
 from __future__ import annotations
 
+import time as _time
 from dataclasses import dataclass, field
 
-from .grid import Field2D
+from .grid import Field2D, sample
 
-__all__ = ["StepRecord", "RunResult"]
+__all__ = ["StepRecord", "RunResult", "run_steps"]
 
 
 @dataclass
@@ -22,18 +23,64 @@ class StepRecord:
 
 @dataclass
 class RunResult:
-    """Snapshots, per-step diagnostics, error metrics, manifest metadata.
-
-    ``errors`` entries are filled by the experiment layer (they require a
-    reference solution); the stepping drivers leave the list empty.
-    """
+    """Snapshots, per-step diagnostics and manifest metadata of one run."""
 
     snapshots: list[tuple[float, Field2D]] = field(default_factory=list)
     diagnostics: list[StepRecord] = field(default_factory=list)
-    errors: list = field(default_factory=list)
     manifest: dict = field(default_factory=dict)
 
-    def final_field(self) -> Field2D:
-        if not self.snapshots:
-            raise ValueError("run recorded no snapshots")
-        return self.snapshots[-1][1]
+
+def run_steps(cfg, make_stepper, n_steps: int, snapshot_times=None,
+              manifest_extra=None) -> RunResult:
+    """Iterate ``make_stepper(cfg)`` from the sampled initial condition.
+
+    ``cfg`` carries ``model`` (with ``eps`` and ``f_in``), ``grid``, ``dt``
+    and ``scheme``. The stepper's ``initial(f0)`` builds its state from the
+    sampled field and ``step(state)`` returns ``(state, SolveStats)``; every
+    state exposes ``.field`` and ``.mass()``. Snapshot times must sit on the
+    time grid (multiples of dt, within the run); misaligned requests are
+    rejected rather than interpolated. Mass and solver residuals are
+    recorded every step, and a failing step names its index.
+    """
+    if n_steps < 0:
+        raise ValueError("n_steps must be >= 0")
+    if snapshot_times is None:
+        snapshot_times = [0.0, n_steps * cfg.dt] if n_steps > 0 else [0.0]
+    snap_steps = set()
+    for t in snapshot_times:
+        n = round(t / cfg.dt)
+        if abs(t - n * cfg.dt) > 1e-9 * max(cfg.dt, abs(t)) or n < 0 or n > n_steps:
+            raise ValueError(f"snapshot time {t} is not a step multiple within the run")
+        snap_steps.add(int(n))
+
+    t0 = _time.perf_counter()
+    f0 = sample(cfg.grid, cfg.model.f_in, 0.0)
+    stepper = make_stepper(cfg)
+    state = stepper.initial(f0)
+
+    result = RunResult()
+    result.diagnostics.append(StepRecord(0, 0.0, state.mass()))
+    if 0 in snap_steps:
+        result.snapshots.append((0.0, state.field))
+    for n in range(1, n_steps + 1):
+        try:
+            state, stats = stepper.step(state)
+        except Exception as exc:
+            exc.args = (f"step {n}: {exc}",) + exc.args[1:]
+            raise
+        t = n * cfg.dt
+        result.diagnostics.append(
+            StepRecord(n, t, state.mass(), stats.residual_norm, stats.iterations))
+        if n in snap_steps:
+            result.snapshots.append((t, state.field))
+    g = cfg.grid
+    result.manifest = {
+        "scheme": cfg.scheme.value,
+        "eps": cfg.model.eps,
+        **(manifest_extra or {}),
+        "dt": cfg.dt,
+        "n_steps": n_steps,
+        "grid": [g.x_min, g.x_max, g.y_min, g.y_max, g.nx, g.ny],
+        "wall_time_s": _time.perf_counter() - t0,
+    }
+    return result

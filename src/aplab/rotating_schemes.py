@@ -9,24 +9,22 @@ system that stays well conditioned down to eps = 0.
 from __future__ import annotations
 
 import functools
-import time as _time
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
 
-from .aligned_schemes import LagrangeState
-from .grid import Field2D, Grid2D, sample
+from .aligned_schemes import LagrangeState, _plain
+from .grid import Field2D, Grid2D
 from .linalg import SolveStats, SparseFactor, SparseMatrix
-from .results import RunResult, StepRecord
+from .results import RunResult, run_steps
 from .rotating import RotatingModel
 
 __all__ = [
     "RotatingScheme", "RotatingSchemeConfig", "UpwindSplit",
     "upwind_rotation_apply", "upwind_rotation_matrix", "assemble_imp",
-    "assemble_lagrange_rot", "step_imp", "step_lagrange_rotating",
-    "run_rotating",
+    "assemble_lagrange_rot", "run_rotating",
 ]
 
 
@@ -44,7 +42,6 @@ class RotatingSchemeConfig:
     dt: float
     gamma: float = 0.91
     scheme: RotatingScheme = RotatingScheme.IMP
-    solver_tol: float = 1e-12
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.dt) or self.dt <= 0.0:
@@ -177,17 +174,21 @@ def assemble_lagrange_rot(grid: Grid2D, eps: float, dt: float,
 
 
 class ImpStepper:
+    initial = staticmethod(_plain)
+
     def __init__(self, cfg: RotatingSchemeConfig):
         self.cfg = cfg
         self.factor = SparseFactor(assemble_imp(cfg.grid, cfg.model.eps, cfg.dt))
 
     def step(self, f: Field2D) -> tuple[Field2D, SolveStats]:
-        flat, stats = self.factor.solve(f.values.ravel(), tol=self.cfg.solver_tol)
+        flat, stats = self.factor.solve(f.values.ravel())
         vals = flat.reshape(f.values.shape)
         return f.with_values(vals, f.time + self.cfg.dt), stats
 
 
 class LagrangeRotatingStepper:
+    initial = LagrangeState.from_field
+
     def __init__(self, cfg: RotatingSchemeConfig):
         self.cfg = cfg
         self.factor = SparseFactor(
@@ -198,7 +199,7 @@ class LagrangeRotatingStepper:
         M = shape[0] * shape[1]
         rhs = np.zeros(2 * M)
         rhs[:M] = s.f.values.ravel()
-        sol, stats = self.factor.solve(rhs, tol=self.cfg.solver_tol)
+        sol, stats = self.factor.solve(rhs)
         t_new = s.f.time + self.cfg.dt
         return (LagrangeState(s.f.with_values(sol[:M].reshape(shape), t_new),
                               s.q.with_values(sol[M:].reshape(shape), t_new)), stats)
@@ -210,70 +211,8 @@ _STEPPERS = {
 }
 
 
-def step_imp(f: Field2D, cfg: RotatingSchemeConfig) -> Field2D:
-    """One fully implicit step; requires cfg.model.eps > 0."""
-    return ImpStepper(cfg).step(f)[0]
-
-
-def step_lagrange_rotating(s: LagrangeState, cfg: RotatingSchemeConfig) -> LagrangeState:
-    """One multiplier-scheme step; well posed for every eps >= 0."""
-    return LagrangeRotatingStepper(cfg).step(s)[0]
-
-
 def run_rotating(cfg: RotatingSchemeConfig, n_steps: int,
                  snapshot_times=None) -> RunResult:
-    """Iterate the selected scheme from the sampled initial condition.
-
-    Same conventions as the aligned driver: snapshot times must be step
-    multiples, mass and solver residuals are recorded every step.
-    """
-    if n_steps < 0:
-        raise ValueError("n_steps must be >= 0")
-    t_end = n_steps * cfg.dt
-    if snapshot_times is None:
-        snapshot_times = [0.0, t_end] if n_steps > 0 else [0.0]
-    snap_steps = set()
-    for t in snapshot_times:
-        n = round(t / cfg.dt)
-        if abs(t - n * cfg.dt) > 1e-9 * max(cfg.dt, abs(t)) or n < 0 or n > n_steps:
-            raise ValueError(f"snapshot time {t} is not a step multiple within the run")
-        snap_steps.add(int(n))
-
-    t0 = _time.perf_counter()
-    f0 = sample(cfg.grid, cfg.model.f_in, 0.0)
-    if cfg.scheme is RotatingScheme.LAGRANGE:
-        state = LagrangeState.from_field(f0)
-    else:
-        state = f0
-    stepper = _STEPPERS[cfg.scheme](cfg)
-
-    def field_of(st) -> Field2D:
-        return st.f if isinstance(st, LagrangeState) else st
-
-    result = RunResult()
-    result.diagnostics.append(StepRecord(0, 0.0, float(field_of(state).values.sum())))
-    if 0 in snap_steps:
-        result.snapshots.append((0.0, field_of(state)))
-    for n in range(1, n_steps + 1):
-        try:
-            state, stats = stepper.step(state)
-        except Exception as exc:
-            exc.args = (f"step {n}: {exc}",) + exc.args[1:]
-            raise
-        t = n * cfg.dt
-        result.diagnostics.append(
-            StepRecord(n, t, float(field_of(state).values.sum()),
-                       stats.residual_norm, stats.iterations))
-        if n in snap_steps:
-            result.snapshots.append((t, field_of(state)))
-    result.manifest = {
-        "scheme": cfg.scheme.value,
-        "eps": cfg.model.eps,
-        "dt": cfg.dt,
-        "gamma": cfg.gamma,
-        "n_steps": n_steps,
-        "grid": [cfg.grid.x_min, cfg.grid.x_max, cfg.grid.y_min, cfg.grid.y_max,
-                 cfg.grid.nx, cfg.grid.ny],
-        "wall_time_s": _time.perf_counter() - t0,
-    }
-    return result
+    """Iterate the selected scheme from the sampled initial condition."""
+    return run_steps(cfg, _STEPPERS[cfg.scheme], n_steps, snapshot_times,
+                     {"gamma": cfg.gamma})

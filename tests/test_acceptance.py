@@ -16,7 +16,7 @@ from aplab.aligned_schemes import AlignedScheme, AlignedSchemeConfig, run_aligne
 from aplab.analysis import error_eta, error_gamma, measure_xi, xi_imex
 from aplab.experiments import run_experiment
 from aplab.grid import make_grid2d
-from aplab.linalg import (CyclicTridiag, SingularMatrixError, assemble_arrays,
+from aplab.linalg import (CyclicTridiag, SingularMatrixError, assemble,
                           cond2, solve_cyclic, solve_sparse)
 from aplab.rotating import RotatingModel, ic_gaussian
 from aplab.rotating_schemes import (RotatingScheme, RotatingSchemeConfig,
@@ -260,7 +260,7 @@ def test_criterion_10_solver_oracles(verdict):
         dense = 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
         dense[np.diag_indices(n)] += rng.uniform(2.0, 4.0, n)
         rows, cols = np.nonzero(dense)
-        M = assemble_arrays(n, n, rows, cols, dense[rows, cols])
+        M = assemble(n, n, rows, cols, dense[rows, cols])
         rhs = rng.standard_normal(n)
         x, _ = solve_sparse(M, rhs)
         xd = np.linalg.solve(dense, rhs)
@@ -272,7 +272,7 @@ def test_criterion_10_solver_oracles(verdict):
             dense = rng.standard_normal((n, n)) / np.sqrt(n)
             dense[np.diag_indices(n)] += rng.uniform(2.0, 4.0, n)
             rows, cols = np.nonzero(dense)
-            M = assemble_arrays(n, n, rows, cols, dense[rows, cols])
+            M = assemble(n, n, rows, cols, dense[rows, cols])
             worst_cond = max(worst_cond, abs(cond2(M) - np.linalg.cond(dense, 2))
                              / np.linalg.cond(dense, 2))
     ok = worst_cyc <= 1e-11 and worst_sp <= 1e-11 and worst_cond <= 0.02

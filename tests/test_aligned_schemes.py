@@ -5,13 +5,13 @@ from aplab.aligned import AlignedModel, ic_constant, ic_two_mode, y_average
 from aplab.aligned_schemes import (
     AlignedScheme,
     AlignedSchemeConfig,
+    FourierStepper,
+    ImexStepper,
+    LagrangeAlignedStepper,
     LagrangeState,
     MicroMacroState,
+    MicroMacroStepper,
     run_aligned,
-    step_fourier,
-    step_imex,
-    step_lagrange_aligned,
-    step_micromacro,
     upwind_x,
 )
 from aplab.grid import make_grid2d, sample
@@ -51,7 +51,7 @@ def test_upwind_x_shift_at_unit_ratio():
 def test_imex_constants_fixed():
     cfg = make_cfg(AlignedScheme.IMEX, 0.8, f_in=ic_constant(2.5))
     f0 = sample(cfg.grid, cfg.model.f_in)
-    f1 = step_imex(f0, cfg)
+    f1 = ImexStepper(cfg).step(f0)[0]
     assert np.max(np.abs(f1.values - 2.5)) <= 1e-13
     assert f1.time == pytest.approx(cfg.dt)
 
@@ -64,7 +64,7 @@ def test_imex_huge_eps_is_explicit_upwind():
     cfg = AlignedSchemeConfig(model, grid, grid.dx, AlignedScheme.IMEX)
     assert cfg.alpha == pytest.approx(1.0)
     f0 = sample(grid, ic_two_mode)
-    f1 = step_imex(f0, cfg)
+    f1 = ImexStepper(cfg).step(f0)[0]
     assert np.max(np.abs(f1.values - np.roll(f0.values, 1, axis=0))) <= 1e-9
 
 
@@ -74,7 +74,8 @@ def test_imex_plane_wave_amplification():
     phase = lambda x, y: k * x + l * y
     f_cos = sample(cfg.grid, lambda x, y: np.cos(phase(x, y)))
     f_sin = sample(cfg.grid, lambda x, y: np.sin(phase(x, y)))
-    W1 = step_imex(f_cos, cfg).values + 1j * step_imex(f_sin, cfg).values
+    stepper = ImexStepper(cfg)
+    W1 = stepper.step(f_cos)[0].values + 1j * stepper.step(f_sin)[0].values
     alpha, beta, eps = cfg.alpha, cfg.beta, cfg.model.eps
     num = 1.0 - 4.0 * alpha * (1.0 - alpha) * np.sin(k * cfg.grid.dx / 2.0) ** 2
     den = eps ** 2 + 4.0 * beta * (eps + beta) * np.sin(l * cfg.grid.dy / 2.0) ** 2
@@ -86,7 +87,7 @@ def test_imex_mass_conserved():
     for eps in (1.0, 1e-4):
         cfg = make_cfg(AlignedScheme.IMEX, eps)
         f0 = sample(cfg.grid, ic_two_mode)
-        f1 = step_imex(f0, cfg)
+        f1 = ImexStepper(cfg).step(f0)[0]
         scale = max(1.0, abs(f0.values.sum()))
         assert abs(f1.values.sum() - f0.values.sum()) <= 1e-12 * scale
 
@@ -95,20 +96,20 @@ def test_imex_singular_at_eps_zero():
     cfg = make_cfg(AlignedScheme.IMEX, 0.0)
     f0 = sample(cfg.grid, ic_two_mode)
     with pytest.raises(SingularMatrixError):
-        step_imex(f0, cfg)
+        ImexStepper(cfg).step(f0)[0]
 
 
 def test_fourier_y_independent_reduces_to_upwind():
     cfg = make_cfg(AlignedScheme.FOURIER, 1.0, f_in=lambda x, y: np.sin(x) + 0.0 * y)
     f0 = sample(cfg.grid, cfg.model.f_in)
-    f1 = step_fourier(f0, cfg)
+    f1 = FourierStepper(cfg).step(f0)[0]
     assert np.max(np.abs(f1.values - upwind_x(f0.values, cfg.alpha))) <= 1e-12
 
 
 def test_fourier_eps_zero_projects_to_mean():
     cfg = make_cfg(AlignedScheme.FOURIER, 0.0, a=0.0)
     f0 = sample(cfg.grid, ic_two_mode)
-    f1 = step_fourier(f0, cfg)
+    f1 = FourierStepper(cfg).step(f0)[0]
     ref = np.repeat(y_average(f0)[:, None], cfg.grid.ny - 1, axis=1)
     assert np.max(np.abs(f1.values - ref)) <= 1e-12
 
@@ -117,7 +118,7 @@ def test_fourier_mode_damping_factor():
     cfg = make_cfg(AlignedScheme.FOURIER, 1.0, a=0.0, dt=10.0 / 500.0,
                    f_in=lambda x, y: np.cos(2.0 * y) + 0.0 * x)
     f0 = sample(cfg.grid, cfg.model.f_in)
-    f1 = step_fourier(f0, cfg)
+    f1 = FourierStepper(cfg).step(f0)[0]
     ks = dft_wavenumbers(cfg.grid.ny - 1)
     c0 = dft_y(f0.values[0])
     c1 = dft_y(f1.values[0])
@@ -129,7 +130,7 @@ def test_fourier_mass_conserved():
     for eps in (1.0, 1e-4, 0.0):
         cfg = make_cfg(AlignedScheme.FOURIER, eps)
         f0 = sample(cfg.grid, ic_two_mode)
-        f1 = step_fourier(f0, cfg)
+        f1 = FourierStepper(cfg).step(f0)[0]
         scale = max(1.0, abs(f0.values.sum()))
         assert abs(f1.values.sum() - f0.values.sum()) <= 1e-12 * scale
 
@@ -140,7 +141,7 @@ def test_fourier_mode_limit():
     cfg = AlignedSchemeConfig(model, grid, 0.01, AlignedScheme.FOURIER)
     f0 = sample(grid, ic_two_mode)
     with pytest.raises(ValueError):
-        step_fourier(f0, cfg)
+        FourierStepper(cfg).step(f0)[0]
 
 
 def test_micromacro_state_checks_zero_mean():
@@ -154,7 +155,7 @@ def test_micromacro_y_independent_keeps_h_zero():
     cfg = make_cfg(AlignedScheme.MICRO_MACRO, 1.0, f_in=lambda x, y: np.sin(x) + 0.0 * y)
     s0 = MicroMacroState.from_field(sample(cfg.grid, cfg.model.f_in))
     assert np.max(np.abs(s0.h.values)) <= 1e-14
-    s1 = step_micromacro(s0, cfg)
+    s1 = MicroMacroStepper(cfg).step(s0)[0]
     assert np.max(np.abs(s1.h.values)) <= 1e-14
     assert np.allclose(s1.H, upwind_x(s0.H, cfg.alpha), rtol=0, atol=1e-14)
 
@@ -162,17 +163,17 @@ def test_micromacro_y_independent_keeps_h_zero():
 def test_micromacro_reconstruction_matches_imex():
     cfg = make_cfg(AlignedScheme.MICRO_MACRO, 1e-2, nx=65, ny=65)
     f0 = sample(cfg.grid, ic_two_mode)
-    s1 = step_micromacro(MicroMacroState.from_field(f0), cfg)
+    s1 = MicroMacroStepper(cfg).step(MicroMacroState.from_field(f0))[0]
     imex_cfg = make_cfg(AlignedScheme.IMEX, 1e-2, nx=65, ny=65)
-    f1 = step_imex(f0, imex_cfg)
-    assert np.max(np.abs(s1.to_field().values - f1.values)) <= 1e-10
+    f1 = ImexStepper(imex_cfg).step(f0)[0]
+    assert np.max(np.abs(s1.field.values - f1.values)) <= 1e-10
 
 
 def test_micromacro_eps_zero_is_limit_scheme():
     cfg = make_cfg(AlignedScheme.MICRO_MACRO, 0.0)
     f0 = sample(cfg.grid, ic_two_mode)
     s0 = MicroMacroState.from_field(f0)
-    s1 = step_micromacro(s0, cfg)
+    s1 = MicroMacroStepper(cfg).step(s0)[0]
     assert np.max(np.abs(s1.h.values)) == 0.0
     assert np.allclose(s1.H, upwind_x(y_average(f0), cfg.alpha), rtol=0, atol=1e-14)
 
@@ -180,8 +181,9 @@ def test_micromacro_eps_zero_is_limit_scheme():
 def test_micromacro_mean_invariant_after_steps():
     cfg = make_cfg(AlignedScheme.MICRO_MACRO, 1e-3)
     s = MicroMacroState.from_field(sample(cfg.grid, ic_two_mode))
+    stepper = MicroMacroStepper(cfg)
     for _ in range(5):
-        s = step_micromacro(s, cfg)
+        s = stepper.step(s)[0]
     assert np.max(np.abs(s.h.values.mean(axis=1))) <= 1e-12
 
 
@@ -195,7 +197,7 @@ def test_lagrange_state_grid_mismatch():
 def test_lagrange_constants_fixed():
     cfg = make_cfg(AlignedScheme.LAGRANGE, 0.5, f_in=ic_constant(3.0))
     s0 = LagrangeState.from_field(sample(cfg.grid, cfg.model.f_in))
-    s1 = step_lagrange_aligned(s0, cfg)
+    s1 = LagrangeAlignedStepper(cfg).step(s0)[0]
     assert np.max(np.abs(s1.f.values - 3.0)) <= 1e-12
     assert np.max(np.abs(s1.q.values)) <= 1e-12
 
@@ -203,15 +205,15 @@ def test_lagrange_constants_fixed():
 def test_lagrange_matches_imex():
     cfg = make_cfg(AlignedScheme.LAGRANGE, 1e-2, nx=65, ny=65)
     f0 = sample(cfg.grid, ic_two_mode)
-    s1 = step_lagrange_aligned(LagrangeState.from_field(f0), cfg)
-    f1 = step_imex(f0, make_cfg(AlignedScheme.IMEX, 1e-2, nx=65, ny=65))
+    s1 = LagrangeAlignedStepper(cfg).step(LagrangeState.from_field(f0))[0]
+    f1 = ImexStepper(make_cfg(AlignedScheme.IMEX, 1e-2, nx=65, ny=65)).step(f0)[0]
     assert np.max(np.abs(s1.f.values - f1.values)) <= 1e-10
 
 
 def test_lagrange_eps_zero_projects_columns():
     cfg = make_cfg(AlignedScheme.LAGRANGE, 0.0, a=0.0)
     f0 = sample(cfg.grid, ic_two_mode)
-    s1 = step_lagrange_aligned(LagrangeState.from_field(f0), cfg)
+    s1 = LagrangeAlignedStepper(cfg).step(LagrangeState.from_field(f0))[0]
     col_means = f0.values.mean(axis=1)
     assert np.max(np.abs(s1.f.values - col_means[:, None])) <= 1e-10
 
@@ -219,7 +221,7 @@ def test_lagrange_eps_zero_projects_columns():
 def test_lagrange_multiplier_pinned():
     cfg = make_cfg(AlignedScheme.LAGRANGE, 1e-3)
     s0 = LagrangeState.from_field(sample(cfg.grid, ic_two_mode))
-    s1 = step_lagrange_aligned(s0, cfg)
+    s1 = LagrangeAlignedStepper(cfg).step(s0)[0]
     assert np.all(s1.q.values[:, 0] == 0.0)
 
 
@@ -227,7 +229,7 @@ def test_lagrange_mass_conserved():
     for eps in (1.0, 1e-4, 0.0):
         cfg = make_cfg(AlignedScheme.LAGRANGE, eps)
         f0 = sample(cfg.grid, ic_two_mode)
-        s1 = step_lagrange_aligned(LagrangeState.from_field(f0), cfg)
+        s1 = LagrangeAlignedStepper(cfg).step(LagrangeState.from_field(f0))[0]
         scale = max(1.0, abs(f0.values.sum()))
         assert abs(s1.f.values.sum() - f0.values.sum()) <= 1e-12 * scale
 

@@ -73,6 +73,17 @@ def test_config_value_checks():
         ExperimentConfig("cond-sweep", {"toy": 3})
     with pytest.raises(ValueError, match="'point'"):
         ExperimentConfig("point-trace", {"point": [0, 500]})
+    with pytest.raises(ValueError, match="'schemes': must be a non-empty list of imp"):
+        ExperimentConfig("rotating-run", {"schemes": ["imex"]})
+    with pytest.raises(ValueError, match="'schemes'"):
+        ExperimentConfig("amplification-check", {"schemes": ["imex", "imp"]})
+    with pytest.raises(ValueError, match="'eps_list': the fully implicit"):
+        ExperimentConfig("rotating-run", {"schemes": ["lagrange", "imp"], "eps_list": [1.0, 0]})
+    ExperimentConfig("rotating-run", {"schemes": ["lagrange"], "eps_list": [0.0]})
+    with pytest.raises(ValueError, match="'schemes': entries must be distinct"):
+        ExperimentConfig("aligned-run", {"schemes": ["imex", "imex"]})
+    with pytest.raises(ValueError, match="'eps_list': entries must be distinct"):
+        ExperimentConfig("eps-sweep", {"eps_list": [0.1, 1e-1]})
 
 
 def test_load_configs(tmp_path):
@@ -95,6 +106,38 @@ def test_load_configs(tmp_path):
         load_configs(write_config(tmp_path, {"nx": 5}, name="nokind.json"))
     with pytest.raises(ValueError, match="expected an object"):
         load_configs(write_config(tmp_path, [1, 2], name="numbers.json"))
+
+
+@pytest.mark.parametrize("names", [
+    ["x", "x"], ["a/b"], ["a\\b"], [".."], ["up..here"], [""], ["."], [3],
+])
+def test_load_configs_rejects_bad_names(tmp_path, capsys, names):
+    # a name is the output directory: it must be a plain name, once per batch
+    entries = [{"kind": "stability-scan", "name": n, "n": 8} for n in names]
+    cfg = write_config(tmp_path, entries)
+    with pytest.raises(ValueError, match="name"):
+        load_configs(cfg)
+    assert run_experiment(cfg, str(tmp_path / "out")) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_default_batch_name_collision(tmp_path):
+    entries = [{"kind": "stability-scan", "n": 8},
+               {"kind": "stability-scan", "name": "stability-scan-0", "n": 8}]
+    with pytest.raises(ValueError, match="share the name 'stability-scan-0'"):
+        load_configs(write_config(tmp_path, entries))
+
+
+@pytest.mark.parametrize("entry", [
+    {"kind": "aligned-run", "schemes": ["imp"]},
+    {"kind": "rotating-run", "nx": 8, "ny": 8, "nt": 3, "eps_list": [0.0]},
+])
+def test_scheme_errors_are_config_errors(tmp_path, capsys, entry):
+    # caught before any compute starts: exit 1, no output directory
+    assert run_experiment(write_config(tmp_path, entry), str(tmp_path / "out")) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 TINY_ALIGNED = {"kind": "aligned-run", "name": "tiny", "nx": 17, "ny": 17,
@@ -147,7 +190,19 @@ def test_run_experiment_numerical_failure(tmp_path, capsys):
     entry = dict(TINY_ALIGNED, eps_list=[0.0])
     cfg = write_config(tmp_path, entry)
     assert run_experiment(cfg, str(tmp_path / "out")) == 2
-    assert "numerical failure" in capsys.readouterr().err
+    assert "numerical failure in tiny: step 1:" in capsys.readouterr().err
+
+
+def test_close_eps_get_their_own_files(tmp_path):
+    # one-digit tags would name both 1em03 and overwrite one run with the other
+    entry = dict(TINY_ALIGNED, nt=3, eps_list=[1e-3, 1.4e-3])
+    assert run_experiment(write_config(tmp_path, entry), str(tmp_path / "out")) == 0
+    out = tmp_path / "out" / "tiny"
+    on_disk = {p.name for p in out.iterdir()} - {"manifest.json"}
+    assert {"diagnostics_imex_eps1em03.csv", "diagnostics_imex_eps1.4em03.csv",
+            "field_imex_eps1.4em03_snap1.csv"} <= on_disk
+    listed = [o["path"] for o in json.loads((out / "manifest.json").read_text())["outputs"]]
+    assert sorted(listed) == sorted(on_disk)
 
 
 def test_point_trace_outputs(tmp_path):
