@@ -109,7 +109,8 @@ def test_load_configs(tmp_path):
 
 
 @pytest.mark.parametrize("names", [
-    ["x", "x"], ["a/b"], ["a\\b"], [".."], ["up..here"], [""], ["."], [3],
+    ["x", "x"], [None, "stability-scan-0"], ["a/b"], ["a\\b"], [".."], ["up..here"],
+    [""], ["."], [3],
 ])
 def test_load_configs_rejects_bad_names(tmp_path, capsys, names):
     # a name is the output directory: it must be a plain name, once per batch
@@ -120,13 +121,6 @@ def test_load_configs_rejects_bad_names(tmp_path, capsys, names):
     assert run_experiment(cfg, str(tmp_path / "out")) == 1
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-
-
-def test_default_batch_name_collision(tmp_path):
-    entries = [{"kind": "stability-scan", "n": 8},
-               {"kind": "stability-scan", "name": "stability-scan-0", "n": 8}]
-    with pytest.raises(ValueError, match="share the name 'stability-scan-0'"):
-        load_configs(write_config(tmp_path, entries))
 
 
 @pytest.mark.parametrize("entry", [
