@@ -127,7 +127,12 @@ def upwind_x(values: np.ndarray, alpha: float) -> np.ndarray:
     """Explicit first-order upwind step along axis 0 (orientation a >= 0)."""
     if alpha == 0.0:
         return values.copy()
-    return values - alpha * (values - np.roll(values, 1, axis=0))
+    # values - alpha * (values - roll(values, 1)), without roll's temporaries
+    diff = np.empty_like(values, dtype=np.result_type(values, alpha))
+    np.subtract(values[1:], values[:-1], out=diff[1:])
+    np.subtract(values[:1], values[-1:], out=diff[:1])
+    diff *= alpha
+    return np.subtract(values, diff, out=diff)
 
 
 # ---------------------------------------------------------------------------

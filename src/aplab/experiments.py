@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import sys
 import time as _time
 from concurrent.futures import ProcessPoolExecutor
@@ -115,6 +116,21 @@ def default_params(kind: str) -> dict:
     return json.loads(json.dumps(_DEFAULTS[kind]))
 
 
+# list keys whose entries must be finite numbers, and whether integers
+_NUMBER_LISTS = {"eps_list": False, "n_list": True, "alpha_list": False, "modes": True,
+                 "point": True}
+
+
+def _is_number(value, integer: bool = False) -> bool:
+    """A finite int or float, not a bool; with ``integer``, of integer value."""
+    if isinstance(value, bool):
+        return False
+    if isinstance(value, int):
+        return True  # JSON integers may exceed the float range
+    return (isinstance(value, float) and math.isfinite(value)
+            and (not integer or value.is_integer()))
+
+
 class ExperimentConfig:
     """One validated experiment: kind, merged parameters, output directory."""
 
@@ -144,11 +160,11 @@ class ExperimentConfig:
     def _check(self) -> None:
         p = self.params
         for key in ("nx", "ny", "nt", "n", "rot_n"):
-            if key in p and (int(p[key]) != p[key] or p[key] < 3):
+            if key in p and not (_is_number(p[key], integer=True) and p[key] >= 3):
                 raise ValueError(f"key '{key}': must be an integer >= 3")
         for key in ("t_end", "dt", "rot_dt", "beta", "b"):
-            if key in p and not (float(p[key]) > 0.0):
-                raise ValueError(f"key '{key}': must be > 0")
+            if key in p and not (_is_number(p[key]) and p[key] > 0.0):
+                raise ValueError(f"key '{key}': must be finite and > 0")
         if "ic" in p and p["ic"] not in INITIAL_CONDITIONS:
             raise ValueError(f"key 'ic': unknown initial condition '{p['ic']}'")
         if "schemes" in p:
@@ -157,9 +173,23 @@ class ExperimentConfig:
             if not p["schemes"] or any(s not in known for s in p["schemes"]):
                 raise ValueError(f"key 'schemes': must be a non-empty list of "
                                  f"{', '.join(known)}, got {p['schemes']}")
+        for key, integer in _NUMBER_LISTS.items():
+            if key in p and not all(_is_number(v, integer) for v in p[key]):
+                what = "integers" if integer else "numbers"
+                raise ValueError(f"key '{key}': entries must be finite {what}, got {p[key]}")
         if "eps_list" in p:
-            if not p["eps_list"] or any(not (e >= 0.0) for e in p["eps_list"]):
+            if not p["eps_list"] or any(e < 0.0 for e in p["eps_list"]):
                 raise ValueError("key 'eps_list': entries must be >= 0")
+        if "n_list" in p and any(n < 3 for n in p["n_list"]):
+            raise ValueError("key 'n_list': entries must be >= 3")
+        if "alpha_list" in p and any(a <= 0.0 for a in p["alpha_list"]):
+            raise ValueError("key 'alpha_list': entries must be > 0")
+        if "modes" in p and any(2 * abs(k) >= p["n"] for k in p["modes"]):
+            raise ValueError(f"key 'modes': entries k must satisfy 2|k| < n = {p['n']}")
+        # convergence compares against the exact solution and stability-scan
+        # steps IMEX, whose column system is singular at eps = 0
+        if "eps" in p and not (_is_number(p["eps"]) and p["eps"] > 0.0):
+            raise ValueError(f"key 'eps': must be finite and > 0, got {p['eps']}")
         for key in ("schemes", "eps_list"):
             # repeated entries would write the same output files twice
             if key in p and len(set(p[key])) != len(p[key]):
@@ -175,7 +205,7 @@ class ExperimentConfig:
             raise ValueError(f"key 'toy': must be 1 or 2, got {p['toy']}")
         if self.kind == "point-trace":
             point = p["point"]
-            if len(point) != 2 or any(int(c) != c or c < 0 for c in point):
+            if len(point) != 2 or any(c < 0 for c in point):
                 raise ValueError("key 'point': expected two node indices >= 0")
             if point[0] >= p["nx"] - 1 or point[1] >= p["ny"] - 1:
                 raise ValueError("key 'point': indices outside the stored nodes")
@@ -233,20 +263,27 @@ def _write_csv(path: Path, header, rows) -> Path:
     return path
 
 
-def _field_rows(field):
-    full = field.full_values()
+def _write_field(path: Path, field) -> Path:
+    """Field CSV: header ``x,y,value``, then one row per node with the alias
+    row and column included, x-major, every number as ``%.16e``.
+
+    The same bytes as ``_write_csv`` would give, but each coordinate is
+    formatted once and each x-row goes out in one write; the file is
+    streamed row by row so memory stays one row wide.
+    """
     g = field.grid
-    xs = g.x_min + g.dx * np.arange(g.nx)
-    ys = g.y_min + g.dy * np.arange(g.ny)
-    for i in range(g.nx):
-        for j in range(g.ny):
-            yield (xs[i], ys[j], full[i, j])
+    xs = [f"{x:.16e}," for x in (g.x_min + g.dx * np.arange(g.nx)).tolist()]
+    ys = [f"{y:.16e}," for y in (g.y_min + g.dy * np.arange(g.ny)).tolist()]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("x,y,value\n")
+        for x, row in zip(xs, field.full_values()):
+            fh.write("".join([f"{x}{y}{v:.16e}\n" for y, v in zip(ys, row.tolist())]))
+    return path
 
 
 def _write_run(out: Path, tag: str, result) -> list:
     """Snapshot fields and per-step diagnostics of one run."""
-    files = [_write_csv(out / f"field_{tag}_snap{idx}.csv", ["x", "y", "value"],
-                        _field_rows(fld))
+    files = [_write_field(out / f"field_{tag}_snap{idx}.csv", fld)
              for idx, (_, fld) in enumerate(result.snapshots)]
     files.append(_write_csv(
         out / f"diagnostics_{tag}.csv", ["step", "t", "mass", "residual_norm", "iterations"],

@@ -92,7 +92,10 @@ class CyclicTridiag:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Apply the matrix; works on (n,) vectors and (n, k) batches."""
-        return self.d * x + self.s * np.roll(x, 1, axis=0)
+        y = self.d * x
+        y[1:] += self.s * x[:-1]
+        y[:1] += self.s * x[-1:]
+        return y
 
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
@@ -109,37 +112,47 @@ class CyclicTridiag:
                         np.concatenate([j, j[:-1], [self.n - 1]]),
                         np.concatenate([np.full(self.n, self.d), np.full(self.n, self.s)]))
 
+    @functools.cached_property
+    def _sweep_constants(self) -> tuple:
+        """Constants of ``_cyclic_sweep``, computed on the first solve.
 
-def _cyclic_sweep(d: float, s: float, rhs: np.ndarray) -> np.ndarray:
+        The ``lfilter`` coefficients (b, a), the powers v_j = phi^j as a
+        vector and as a column, and the closure pivot; at n = 1 only the
+        pivot d + s of the 1x1 system. Raises SingularMatrixError on pivot
+        breakdown; an error is not cached, so every solve raises it again.
+        """
+        d, s = self.d, self.s
+        if abs(d) < PIVOT_BREAKDOWN:
+            raise SingularMatrixError(f"singular matrix: diagonal pivot {d!r}")
+        if self.n == 1:
+            dd = d + s
+            if abs(dd) < PIVOT_BREAKDOWN:
+                raise SingularMatrixError("singular matrix: 1x1 cyclic system")
+            return None, None, None, None, dd
+        v = np.cumprod(np.full(self.n - 1, -s / d))
+        closure = d + s * v[-1]
+        if not np.isfinite(closure) or abs(closure) < PIVOT_BREAKDOWN:
+            raise SingularMatrixError(
+                f"singular matrix: cyclic closure pivot {closure!r} (d={d!r}, s={s!r})")
+        return np.array([1.0 / d]), np.array([1.0, s / d]), v, v[:, None], closure
+
+
+def _cyclic_sweep(M: CyclicTridiag, rhs: np.ndarray) -> np.ndarray:
     """One bordered-elimination pass; rhs shape (n,) or (n, k)."""
-    n = rhs.shape[0]
-    if abs(d) < PIVOT_BREAKDOWN:
-        raise SingularMatrixError(f"singular matrix: diagonal pivot {d!r}")
-    if n == 1:
-        dd = d + s
-        if abs(dd) < PIVOT_BREAKDOWN:
-            raise SingularMatrixError("singular matrix: 1x1 cyclic system")
-        return rhs / dd
-    phi = -s / d
-    # first n-1 rows express x_j = u_j + v_j * x_n with v_j = phi^j
-    u = lfilter([1.0 / d], [1.0, s / d], rhs[:-1], axis=0)
-    v = np.cumprod(np.full(n - 1, phi))
-    closure = d + s * v[-1]
-    if not np.isfinite(closure) or abs(closure) < PIVOT_BREAKDOWN:
-        raise SingularMatrixError(
-            f"singular matrix: cyclic closure pivot {closure!r} (d={d!r}, s={s!r})")
-    t = (rhs[-1] - s * u[-1]) / closure
+    b, a, v, v_col, closure = M._sweep_constants
+    if M.n == 1:
+        return rhs / closure
+    # first n-1 rows express x_j = u_j + v_j * x_n with v_j = phi^j, phi = -s/d
+    u = lfilter(b, a, rhs[:-1], axis=0)
+    t = (rhs[-1] - M.s * u[-1]) / closure
     x = np.empty_like(rhs, dtype=float)
-    if rhs.ndim == 1:
-        x[:-1] = u + v * t
-    else:
-        x[:-1] = u + v[:, None] * t
+    x[:-1] = u + (v if rhs.ndim == 1 else v_col) * t
     x[-1] = t
     return x
 
 
 def _cyclic_residual(M: CyclicTridiag, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """rhs - d*x - s*roll(x) with compensated products and sums.
+    """rhs - d*x - s*x_{j-1} (cyclic) with compensated products and sums.
 
     The stiff solves divide by eigenvalues as small as eps while the matrix
     entries stay O(1), so a residual formed in plain arithmetic is pure
@@ -147,7 +160,10 @@ def _cyclic_residual(M: CyclicTridiag, x: np.ndarray, rhs: np.ndarray) -> np.nda
     bring the forward error down to O(u) instead of O(cond * u).
     """
     p1, e1 = _two_prod(M.d, x)
-    p2, e2 = _two_prod(M.s, np.roll(x, 1, axis=0))
+    x_prev = np.empty_like(x)
+    x_prev[1:] = x[:-1]
+    x_prev[:1] = x[-1:]
+    p2, e2 = _two_prod(M.s, x_prev)
     r, c1 = _two_sum(rhs, -p1)
     r, c2 = _two_sum(r, -p2)
     return r + (c1 + c2 - e1 - e2 - M.d_lo * x)
@@ -169,9 +185,9 @@ def solve_cyclic(M: CyclicTridiag, rhs: np.ndarray) -> np.ndarray:
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape[0] != M.n:
         raise ValueError(f"rhs length {rhs.shape[0]} does not match dimension {M.n}")
-    x = _cyclic_sweep(M.d, M.s, rhs)
+    x = _cyclic_sweep(M, rhs)
     resid = _cyclic_residual(M, x, rhs)
-    x = x + _cyclic_sweep(M.d, M.s, resid)
+    x = x + _cyclic_sweep(M, resid)
     return x
 
 

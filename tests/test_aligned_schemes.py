@@ -48,6 +48,14 @@ def test_upwind_x_shift_at_unit_ratio():
     assert np.array_equal(upwind_x(vals, 0.0), vals)
 
 
+def test_upwind_x_matches_roll_form():
+    rng = np.random.default_rng(5)
+    for vals in (rng.standard_normal((6, 4)), rng.standard_normal(1), np.arange(5),
+                 rng.standard_normal(5) + 1j * rng.standard_normal(5)):
+        ref = vals - 0.37 * (vals - np.roll(vals, 1, axis=0))
+        assert upwind_x(vals, 0.37).tobytes() == ref.tobytes()
+
+
 def test_imex_constants_fixed():
     cfg = make_cfg(AlignedScheme.IMEX, 0.8, f_in=ic_constant(2.5))
     f0 = sample(cfg.grid, cfg.model.f_in)

@@ -1,12 +1,15 @@
 """Experiment runner: configs, CSV outputs, manifests, CLI, determinism."""
 
+import csv
 import hashlib
+import io
 import json
 import re
 
 import numpy as np
 import pytest
 
+from aplab import experiments
 from aplab.cli import main
 from aplab.experiments import (
     EXPERIMENT_KINDS,
@@ -15,6 +18,7 @@ from aplab.experiments import (
     load_configs,
     run_experiment,
 )
+from aplab.grid import Field2D, make_grid2d
 
 FLOAT_RE = re.compile(r"-?\d\.\d{16}e[+-]\d{2,3}$")
 
@@ -126,6 +130,19 @@ def test_load_configs_rejects_bad_names(tmp_path, capsys, names):
 @pytest.mark.parametrize("entry", [
     {"kind": "aligned-run", "schemes": ["imp"]},
     {"kind": "rotating-run", "nx": 8, "ny": 8, "nt": 3, "eps_list": [0.0]},
+    {"kind": "eps-sweep", "eps_list": ["a"]},
+    {"kind": "eps-sweep", "eps_list": [float("inf")]},
+    {"kind": "aligned-run", "nx": float("inf")},
+    {"kind": "convergence", "vary": "dt", "n_list": [9, "17", 33], "schemes": ["lagrange"]},
+    {"kind": "convergence", "vary": "dt", "n_list": [9, 17, 33], "schemes": ["lagrange"],
+     "eps": 0},
+    {"kind": "stability-scan", "n": 8, "eps": -1},
+    {"kind": "stability-scan", "n": 8, "eps": 0},
+    {"kind": "stability-scan", "n": 8, "alpha_list": [[1]]},
+    {"kind": "stability-scan", "n": 8, "alpha_list": [0.0]},
+    {"kind": "amplification-check", "n": 8, "modes": [0, 1.5]},
+    {"kind": "amplification-check", "n": 8, "modes": [0, 4]},
+    {"kind": "point-trace", "point": [None, 0]},
 ])
 def test_scheme_errors_are_config_errors(tmp_path, capsys, entry):
     # caught before any compute starts: exit 1, no output directory
@@ -160,6 +177,33 @@ def test_aligned_run_outputs(tmp_path):
     for entry in manifest["outputs"]:
         digest = hashlib.sha256((out / entry["path"]).read_bytes()).hexdigest()
         assert digest == entry["sha256"]
+
+
+def _reference_field_csv(field) -> bytes:
+    """The field writer _write_field replaced: csv.writer over one
+    (x, y, value) row per node, each value formatted on its own."""
+    full = field.full_values()
+    g = field.grid
+    xs = g.x_min + g.dx * np.arange(g.nx)
+    ys = g.y_min + g.dy * np.arange(g.ny)
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["x", "y", "value"])
+    for i in range(g.nx):
+        for j in range(g.ny):
+            writer.writerow([f"{float(v):.16e}" for v in (xs[i], ys[j], full[i, j])])
+    return buf.getvalue().encode("utf-8")
+
+
+def test_field_writer_matches_reference_on_edge_values(tmp_path):
+    # values the golden configs never reach: signed zero, a subnormal,
+    # huge magnitudes, exact integers and an inexact fraction
+    values = np.array([[-0.0, 5e-324, 1e300, -1e300],
+                       [0.0, 1.0, -7.0, 2.0 ** 53],
+                       [1.0 / 3.0, -1.0 / 3.0, 123456789.0, -5e-324]])
+    field = Field2D(make_grid2d(-1.5, 0.0, -1.0, 1.0, 4, 5), values)
+    path = experiments._write_field(tmp_path / "field.csv", field)
+    assert path.read_bytes() == _reference_field_csv(field)
 
 
 def test_runs_are_deterministic(tmp_path):

@@ -26,11 +26,14 @@ def test_solve_cyclic_identity():
 
 def test_solve_cyclic_singular_at_eps_zero():
     # d = eps + beta, s = -beta with eps = 0: row sums vanish, constant
-    # vector sits in the kernel
-    M = CyclicTridiag(16, 1.0, -1.0)
-    rhs = np.ones(16)
-    with pytest.raises(SingularMatrixError):
-        solve_cyclic(M, rhs)
+    # vector sits in the kernel; plus the 1x1 and zero-diagonal breakdowns
+    for n, d, s, message in [(16, 1.0, -1.0, "cyclic closure pivot"),
+                             (1, 1.0, -1.0, "1x1 cyclic system"),
+                             (4, 0.0, 1.0, "diagonal pivot")]:
+        M = CyclicTridiag(n, d, s)
+        for _ in range(2):  # the breakdown is raised again, not cached away
+            with pytest.raises(SingularMatrixError, match=message):
+                solve_cyclic(M, np.ones(n))
 
 
 def test_solve_cyclic_against_dense_oracle():
@@ -95,6 +98,17 @@ def test_assemble_rejects_bad_input():
 def test_cyclic_to_sparse_matches_dense(n):
     M = CyclicTridiag(n, 1.5, -0.25)
     assert np.array_equal(M.to_sparse().to_dense(), M.to_dense())
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_cyclic_matvec_and_solve(n):
+    M = CyclicTridiag(n, 1.5, -0.25)
+    rng = np.random.default_rng(n)
+    for x in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+        y = M.matvec(x)
+        # the same arithmetic as the np.roll form of the stencil
+        assert np.array_equal(y, 1.5 * x - 0.25 * np.roll(x, 1, axis=0))
+        assert np.max(np.abs(solve_cyclic(M, y) - x)) <= 1e-14
 
 
 def test_solve_sparse_identity():
