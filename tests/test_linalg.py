@@ -107,7 +107,7 @@ def test_cyclic_matvec_and_solve(n):
     for x in (rng.standard_normal(n), rng.standard_normal((n, 3))):
         y = M.matvec(x)
         # the same arithmetic as the np.roll form of the stencil
-        assert np.array_equal(y, 1.5 * x - 0.25 * np.roll(x, 1, axis=0))
+        assert np.array_equal(y, M.d * x + M.s * np.roll(x, 1, axis=0))
         assert np.max(np.abs(solve_cyclic(M, y) - x)) <= 1e-14
 
 
