@@ -7,8 +7,8 @@ __version__ = "0.1.0"
 
 from .grid import Field2D, Grid2D, make_grid2d, sample, wrap
 from .linalg import (ConvergenceError, CyclicTridiag, SingularMatrixError,
-                     SolveStats, SparseMatrix, assemble, cond2, dft_y,
-                     dft_wavenumbers, idft_y, solve_cyclic, solve_sparse)
+                     SolveStats, assemble, cond2, dft_y, dft_wavenumbers,
+                     idft_y, solve_cyclic)
 from .aligned import (AlignedModel, exact_aligned, ic_constant, ic_two_mode,
                       limit_aligned, y_average)
 from .aligned_schemes import (AlignedScheme, AlignedSchemeConfig, LagrangeState,
@@ -26,8 +26,8 @@ from .experiments import ExperimentConfig, run_experiment
 __all__ = [
     "__version__",
     "Grid2D", "Field2D", "make_grid2d", "wrap", "sample",
-    "CyclicTridiag", "SparseMatrix", "SolveStats", "solve_cyclic", "assemble",
-    "solve_sparse", "cond2", "dft_y", "idft_y", "dft_wavenumbers",
+    "CyclicTridiag", "SolveStats", "solve_cyclic", "assemble",
+    "cond2", "dft_y", "idft_y", "dft_wavenumbers",
     "SingularMatrixError", "ConvergenceError",
     "AlignedModel", "exact_aligned", "y_average", "limit_aligned",
     "ic_two_mode", "ic_constant",

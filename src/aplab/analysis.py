@@ -16,8 +16,7 @@ import scipy.sparse as sp
 from .aligned_schemes import (AlignedScheme, AlignedSchemeConfig,
                               aligned_lagrange_matrix, make_aligned_stepper)
 from .grid import Field2D
-from .linalg import (ConvergenceError, CyclicTridiag, SingularMatrixError,
-                     SparseMatrix, cond2)
+from .linalg import ConvergenceError, CyclicTridiag, SingularMatrixError, cond2
 from .rotating_schemes import RotatingScheme, assemble_imp, assemble_lagrange_rot
 
 __all__ = [
@@ -211,7 +210,7 @@ def helmert_basis(m: int) -> np.ndarray:
 
 
 def cond_family_aligned(scheme, m: int, beta: float):
-    """Per-column system family eps -> SparseMatrix for an aligned scheme.
+    """Per-column system family eps -> CSR matrix for an aligned scheme.
 
     The micro-macro family is the cyclic system restricted to the zero-mean
     subspace (orthonormal basis, so singular values are those of the
@@ -225,9 +224,9 @@ def cond_family_aligned(scheme, m: int, beta: float):
     if scheme is AlignedScheme.MICRO_MACRO:
         Q = helmert_basis(m)
 
-        def restricted(eps: float) -> SparseMatrix:
+        def restricted(eps: float) -> sp.csr_matrix:
             A = CyclicTridiag(m, eps + beta, -beta).to_dense()
-            return SparseMatrix(sp.csr_matrix(Q.T @ A @ Q))
+            return sp.csr_matrix(Q.T @ A @ Q)
 
         return restricted
     if scheme is AlignedScheme.LAGRANGE:
@@ -236,7 +235,7 @@ def cond_family_aligned(scheme, m: int, beta: float):
 
 
 def cond_family_rotating(scheme, grid, dt: float, gamma: float = 0.91):
-    """System matrix family eps -> SparseMatrix for a rotation scheme."""
+    """System matrix family eps -> CSR matrix for a rotation scheme."""
     if not isinstance(scheme, RotatingScheme):
         scheme = RotatingScheme(scheme)
     if scheme is RotatingScheme.IMP:

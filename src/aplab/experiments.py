@@ -14,6 +14,7 @@ import csv
 import hashlib
 import json
 import math
+import shutil
 import sys
 import time as _time
 from concurrent.futures import ProcessPoolExecutor
@@ -190,8 +191,9 @@ class ExperimentConfig:
         # steps IMEX, whose column system is singular at eps = 0
         if "eps" in p and not (_is_number(p["eps"]) and p["eps"] > 0.0):
             raise ValueError(f"key 'eps': must be finite and > 0, got {p['eps']}")
-        for key in ("schemes", "eps_list"):
-            # repeated entries would write the same output files twice
+        for key in ("schemes", "eps_list", "n_list"):
+            # repeated entries would write the same output files twice or
+            # repeat a step size in a slope fit
             if key in p and len(set(p[key])) != len(p[key]):
                 raise ValueError(f"key '{key}': entries must be distinct")
         if self.kind == "rotating-run" and "imp" in p["schemes"] and 0.0 in p["eps_list"]:
@@ -201,6 +203,11 @@ class ExperimentConfig:
                              "against needs eps > 0")
         if "vary" in p and p["vary"] not in ("dx", "dy", "dt"):
             raise ValueError(f"key 'vary': must be dx, dy or dt, got '{p['vary']}'")
+        if self.kind == "convergence":
+            # a slope fit needs three points; a run with no fit needs one
+            least = 3 if any(_fits_slope(p["vary"], s) for s in p["schemes"]) else 1
+            if len(p["n_list"]) < least:
+                raise ValueError(f"key 'n_list': needs at least {least} entries")
         if "toy" in p and p["toy"] not in (1, 2):
             raise ValueError(f"key 'toy': must be 1 or 2, got {p['toy']}")
         if self.kind == "point-trace":
@@ -433,6 +440,11 @@ _FOURIER_DY_NT = 401
 _VARIED_KEY = {"dx": "nx", "dy": "ny", "dt": "nt"}
 
 
+def _fits_slope(vary: str, scheme: str) -> bool:
+    # spectral in y: the Fourier error does not depend on dy, no slope to fit
+    return not (vary == "dy" and scheme == "fourier")
+
+
 def _run_convergence(cfg: ExperimentConfig, out: Path) -> tuple:
     p = cfg.params
     vary = p["vary"]
@@ -451,9 +463,8 @@ def _run_convergence(cfg: ExperimentConfig, out: Path) -> tuple:
             eta = error_eta(final, exact_aligned(scfg.model, t_end, scfg.grid))
             rows.append(({"dx": scfg.grid.dx, "dy": scfg.grid.dy, "dt": scfg.dt}[vary], eta))
         files.append(_write_csv(out / f"errors_{vary}_{scheme}.csv", [vary, "eta"], rows))
-        # spectral in y: the Fourier error is step-independent, no slope to fit
         slope_rows.append(_slope_row(scheme, [r[0] for r in rows], [r[1] for r in rows],
-                                     fit=scheme != "fourier"))
+                                     fit=_fits_slope(vary, scheme)))
     plots = ["set logscale xy"] + _plots(files, "linespoints")
     files.append(_write_csv(out / "slopes.csv", ["scheme", "slope", "spread"], slope_rows))
     return files, plots
@@ -537,29 +548,38 @@ _NUMERICAL_FAILURES = (SingularMatrixError, ConvergenceError, FloatingPointError
 
 
 def _execute_one(task) -> tuple:
+    """Write one experiment into ``.<name>.partial`` and rename it onto
+    ``<name>`` once its manifest is written; a failure removes the partial
+    directory and leaves an earlier ``<name>`` as it was."""
     kind, params, name, out_base = task
     cfg = ExperimentConfig(kind, params, name)
     out = Path(out_base) / name
-    out.mkdir(parents=True, exist_ok=True)
+    partial = Path(out_base) / f".{name}.partial"
+    shutil.rmtree(partial, ignore_errors=True)
+    partial.mkdir(parents=True)
     t0 = _time.perf_counter()
     try:
-        files, plot_lines = _RUNNERS[kind](cfg, out)
-    except _NUMERICAL_FAILURES as exc:
-        exc.args = (f"in {name}: {exc}",) + exc.args[1:]
+        files, plot_lines = _RUNNERS[kind](cfg, partial)
+        gp = partial / "plot.gp"
+        gp.write_text("set datafile separator \",\"\nset key outside\n"
+                      + "\n".join(plot_lines) + "\n", encoding="utf-8")
+        files.append(gp)
+        manifest = {
+            "config": {"kind": kind, "name": name, **params},
+            "outputs": [{"path": f.name, "sha256": _sha256(f)} for f in files],
+            "wall_time_s": _time.perf_counter() - t0,
+            "version": __version__,
+        }
+        (partial / "manifest.json").write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        shutil.rmtree(out, ignore_errors=True)
+        partial.rename(out)
+    except BaseException as exc:
+        shutil.rmtree(partial, ignore_errors=True)
+        if isinstance(exc, _NUMERICAL_FAILURES):
+            exc.args = (f"in {name}: {exc}",) + exc.args[1:]
         raise
-    gp = out / "plot.gp"
-    gp.write_text("set datafile separator \",\"\nset key outside\n"
-                  + "\n".join(plot_lines) + "\n", encoding="utf-8")
-    files.append(gp)
-    manifest = {
-        "config": {"kind": kind, "name": name, **params},
-        "outputs": [{"path": f.name, "sha256": _sha256(f)} for f in files],
-        "wall_time_s": _time.perf_counter() - t0,
-        "version": __version__,
-    }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return name, [str(f) for f in files]
+    return name, [str(out / f.name) for f in files]
 
 
 def run_experiment(config_path: str, out_dir: str | None = None,

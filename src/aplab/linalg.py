@@ -2,8 +2,8 @@
 
 Every implicit scheme routes through here: the per-column cyclic systems of
 the first toy model through ``solve_cyclic``, the global systems of the
-second through ``assemble``/``solve_sparse``, and the condition-number
-studies through ``cond2``.
+second through ``assemble``/``SparseFactor`` as plain scipy CSR matrices,
+and the condition-number studies through ``cond2``.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from scipy.signal import lfilter
 
 __all__ = [
     "SingularMatrixError", "ConvergenceError",
-    "CyclicTridiag", "SparseMatrix", "SolveStats", "SparseFactor",
-    "solve_cyclic", "assemble", "solve_sparse", "cond2",
+    "CyclicTridiag", "SolveStats", "SparseFactor",
+    "solve_cyclic", "assemble", "cond2",
     "dft_y", "idft_y", "dft_wavenumbers",
 ]
 
@@ -105,7 +105,7 @@ class CyclicTridiag:
         a[0, self.n - 1] += self.s
         return a
 
-    def to_sparse(self) -> "SparseMatrix":
+    def to_sparse(self) -> sp.csr_matrix:
         # at n = 1 the corner entry falls on the diagonal and is summed into it
         j = np.arange(self.n)
         return assemble(self.n, self.n, np.concatenate([j, j[1:], [0]]),
@@ -195,25 +195,8 @@ def solve_cyclic(M: CyclicTridiag, rhs: np.ndarray) -> np.ndarray:
 # general sparse systems
 
 
-@dataclass(frozen=True, eq=False)
-class SparseMatrix:
-    """Compressed sparse row matrix with finite, duplicate-free entries."""
-
-    csr: sp.csr_matrix
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.csr.shape
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.csr @ x
-
-    def to_dense(self) -> np.ndarray:
-        return self.csr.toarray()
-
-
-def assemble(n_rows: int, n_cols: int, rows, cols, vals) -> SparseMatrix:
-    """Build a SparseMatrix from coordinate arrays, 0-based indices.
+def assemble(n_rows: int, n_cols: int, rows, cols, vals) -> sp.csr_matrix:
+    """Build a CSR matrix from coordinate arrays, 0-based indices.
 
     Duplicate coordinates are summed. Raises IndexError for out-of-range
     indices and ValueError for non-finite values.
@@ -229,7 +212,7 @@ def assemble(n_rows: int, n_cols: int, rows, cols, vals) -> SparseMatrix:
     coo = sp.coo_matrix((vals, (rows, cols)), shape=(n_rows, n_cols))
     csr = coo.tocsr()
     csr.sum_duplicates()
-    return SparseMatrix(csr)
+    return csr
 
 
 @dataclass
@@ -246,13 +229,13 @@ class SparseFactor:
     The factorization is immutable once built; ``solve`` is reentrant.
     """
 
-    def __init__(self, M: SparseMatrix):
-        if M.shape[0] != M.shape[1]:
-            raise ValueError(f"matrix must be square, got {M.shape}")
-        self.matrix = M
-        self.norm1 = float(abs(M.csr).sum(axis=0).max()) if M.csr.nnz else 0.0
+    def __init__(self, A: sp.csr_matrix):
+        if A.shape[0] != A.shape[1]:
+            raise ValueError(f"matrix must be square, got {A.shape}")
+        self.matrix = A
+        self.norm1 = float(abs(A).sum(axis=0).max()) if A.nnz else 0.0
         try:
-            self._lu = spla.splu(M.csr.tocsc())
+            self._lu = spla.splu(A.tocsc())
         except RuntimeError as exc:
             if "singular" in str(exc).lower():
                 raise SingularMatrixError(f"sparse factorization failed: {exc}") from exc
@@ -265,14 +248,14 @@ class SparseFactor:
         """Solve with iterative refinement down to ``SOLVE_TOL * max(1, |rhs|_2)``.
 
         Works on (n,) vectors and (n, k) batches (the bound is enforced per
-        column). The effective tolerance is floored at 100*eps*|M|_1 because
+        column). The effective tolerance is floored at 100*eps*|A|_1 because
         the residual of the correctly rounded solution already sits at
-        O(eps*|M|*|x|); refinement keeps going below the tolerance while it
+        O(eps*|A|*|x|); refinement keeps going below the tolerance while it
         still makes progress. Raises ConvergenceError with the achieved
         residual if refinement stalls above the bound.
         """
         rhs = np.asarray(rhs, dtype=float)
-        A = self.matrix.csr
+        A = self.matrix
         eff_tol = max(SOLVE_TOL, 100.0 * np.finfo(float).eps * max(1.0, self.norm1))
         x = self._lu.solve(rhs)
         its = 0
@@ -289,11 +272,6 @@ class SparseFactor:
             raise ConvergenceError(
                 f"sparse solve stalled at relative residual {rel:.3e} (tol {eff_tol:.1e})")
         return x, SolveStats(float(rel), its)
-
-
-def solve_sparse(M: SparseMatrix, rhs: np.ndarray) -> tuple[np.ndarray, SolveStats]:
-    """Direct sparse LU solve of ``M x = rhs`` with refinement to ``SOLVE_TOL``."""
-    return SparseFactor(M).solve(rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -329,19 +307,18 @@ def _iterate_extreme(apply_op, v0: np.ndarray):
     return lam, rel <= 100 * COND_TOL, rel
 
 
-def cond2(M: SparseMatrix) -> float:
+def cond2(A: sp.csr_matrix) -> float:
     """2-norm condition number estimate sigma_max / sigma_min.
 
-    sigma_max comes from power iteration on M^T M, sigma_min from inverse
+    sigma_max comes from power iteration on A^T A, sigma_min from inverse
     iteration through a sparse LU factorization (two triangular solves per
     step, never an explicit inverse). Deterministic start vector. Raises
     SingularMatrixError for singular input and ConvergenceError when the
     iteration has clearly not settled after ``COND_MAX_ITER`` iterations.
     """
-    n = M.shape[0]
-    if M.shape[1] != n:
-        raise ValueError(f"matrix must be square, got {M.shape}")
-    A = M.csr
+    n = A.shape[0]
+    if A.shape[1] != n:
+        raise ValueError(f"matrix must be square, got {A.shape}")
     rng = np.random.default_rng(0x5EED + n)
     v0 = rng.standard_normal(n)
 
@@ -353,7 +330,7 @@ def cond2(M: SparseMatrix) -> float:
     if lam_max <= 0.0:
         raise SingularMatrixError("matrix has numerically zero largest singular value")
 
-    factor = SparseFactor(M)
+    factor = SparseFactor(A)
 
     def inv_op(v: np.ndarray) -> np.ndarray:
         return factor.raw_solve(factor.raw_solve(v, trans="T"))
@@ -375,15 +352,6 @@ def cond2(M: SparseMatrix) -> float:
 def dft_wavenumbers(m: int) -> np.ndarray:
     """Centered integer mode indices -floor(m/2) .. ceil(m/2)-1."""
     return np.arange(-(m // 2), m - m // 2)
-
-
-@functools.lru_cache(maxsize=8)
-def _dft_matrices(m: int):
-    ks = dft_wavenumbers(m)
-    j = np.arange(m)
-    fwd = np.exp(-2j * np.pi * np.outer(ks, j) / m) / m
-    inv = np.exp(2j * np.pi * np.outer(j, ks) / m)
-    return fwd, inv
 
 
 def dft_y(values: np.ndarray) -> np.ndarray:

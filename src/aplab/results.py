@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time as _time
 from dataclasses import dataclass, field
 
 from .grid import Field2D, sample
@@ -23,19 +22,17 @@ class StepRecord:
 
 @dataclass
 class RunResult:
-    """Snapshots, per-step diagnostics and manifest metadata of one run."""
+    """Snapshots and per-step diagnostics of one run."""
 
     snapshots: list[tuple[float, Field2D]] = field(default_factory=list)
     diagnostics: list[StepRecord] = field(default_factory=list)
-    manifest: dict = field(default_factory=dict)
 
 
-def run_steps(cfg, make_stepper, n_steps: int, snapshot_times=None,
-              manifest_extra=None) -> RunResult:
+def run_steps(cfg, make_stepper, n_steps: int, snapshot_times=None) -> RunResult:
     """Iterate ``make_stepper(cfg)`` from the sampled initial condition.
 
-    ``cfg`` carries ``model`` (with ``eps`` and ``f_in``), ``grid``, ``dt``
-    and ``scheme``. The stepper's ``initial(f0)`` builds its state from the
+    ``cfg`` carries ``model`` (with ``f_in``), ``grid`` and ``dt``; the
+    rest is read by ``make_stepper``. The stepper's ``initial(f0)`` builds its state from the
     sampled field and ``step(state)`` returns ``(state, SolveStats)``; every
     state exposes ``.field`` and ``.mass()``. Snapshot times must sit on the
     time grid (multiples of dt, within the run); misaligned requests are
@@ -53,7 +50,6 @@ def run_steps(cfg, make_stepper, n_steps: int, snapshot_times=None,
             raise ValueError(f"snapshot time {t} is not a step multiple within the run")
         snap_steps.add(int(n))
 
-    t0 = _time.perf_counter()
     f0 = sample(cfg.grid, cfg.model.f_in, 0.0)
     stepper = make_stepper(cfg)
     state = stepper.initial(f0)
@@ -73,14 +69,4 @@ def run_steps(cfg, make_stepper, n_steps: int, snapshot_times=None,
             StepRecord(n, t, state.mass(), stats.residual_norm, stats.iterations))
         if n in snap_steps:
             result.snapshots.append((t, state.field))
-    g = cfg.grid
-    result.manifest = {
-        "scheme": cfg.scheme.value,
-        "eps": cfg.model.eps,
-        **(manifest_extra or {}),
-        "dt": cfg.dt,
-        "n_steps": n_steps,
-        "grid": [g.x_min, g.x_max, g.y_min, g.y_max, g.nx, g.ny],
-        "wall_time_s": _time.perf_counter() - t0,
-    }
     return result

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 
 from .aligned_schemes import LagrangeState, _plain
 from .grid import Field2D, Grid2D
-from .linalg import SolveStats, SparseFactor, SparseMatrix
+from .linalg import SolveStats, SparseFactor, assemble
 from .results import RunResult, run_steps
 from .rotating import RotatingModel
 
@@ -109,7 +109,7 @@ def upwind_rotation_apply(g: Field2D) -> Field2D:
 
 
 @functools.lru_cache(maxsize=16)
-def upwind_rotation_matrix(grid: Grid2D) -> SparseMatrix:
+def upwind_rotation_matrix(grid: Grid2D) -> sp.csr_matrix:
     """The operator of ``upwind_rotation_apply`` as a sparse matrix.
 
     Unknown (i, j) sits at flat index i*(ny-1) + j; five-point pattern
@@ -135,12 +135,10 @@ def upwind_rotation_matrix(grid: Grid2D) -> SparseMatrix:
         I * ny1 + (J - 1) % ny1,
     ])
     vals = np.concatenate([(yp - ym) + (xp - xm), -yp, ym, -xp, xm])
-    M = nx1 * ny1
-    coo = sp.coo_matrix((vals, (rows, cols)), shape=(M, M))
-    return SparseMatrix(coo.tocsr())
+    return assemble(nx1 * ny1, nx1 * ny1, rows, cols, vals)
 
 
-def assemble_imp(grid: Grid2D, eps: float, dt: float) -> SparseMatrix:
+def assemble_imp(grid: Grid2D, eps: float, dt: float) -> sp.csr_matrix:
     """System matrix Id + (dt/eps) U of the fully implicit scheme.
 
     Rejected at eps = 0: the scheme divides by eps and has no limit form.
@@ -148,13 +146,12 @@ def assemble_imp(grid: Grid2D, eps: float, dt: float) -> SparseMatrix:
     """
     if not (eps > 0.0):
         raise ValueError(f"fully implicit scheme needs eps > 0, got {eps}")
-    U = upwind_rotation_matrix(grid).csr
-    A = sp.identity(U.shape[0], format="csr") + (dt / eps) * U
-    return SparseMatrix(A.tocsr())
+    U = upwind_rotation_matrix(grid)
+    return sp.identity(U.shape[0], format="csr") + (dt / eps) * U
 
 
 def assemble_lagrange_rot(grid: Grid2D, eps: float, dt: float,
-                          gamma: float = 0.91) -> SparseMatrix:
+                          gamma: float = 0.91) -> sp.csr_matrix:
     """Block system for (f, q): [[Id, dt U], [U, -eps U - (dx dy)^gamma Id]].
 
     The (dx dy)^gamma term stabilizes the q-block, which would otherwise
@@ -165,12 +162,11 @@ def assemble_lagrange_rot(grid: Grid2D, eps: float, dt: float,
     isolated near-real modes of U in resonance (dt lam^2 ~ s) and the
     step amplifies them without bound.
     """
-    U = upwind_rotation_matrix(grid).csr
+    U = upwind_rotation_matrix(grid)
     M = U.shape[0]
     Id = sp.identity(M, format="csr")
     stab = (grid.dx * grid.dy) ** gamma
-    A = sp.bmat([[Id, dt * U], [U, -eps * U - stab * Id]], format="csr")
-    return SparseMatrix(A)
+    return sp.bmat([[Id, dt * U], [U, -eps * U - stab * Id]], format="csr")
 
 
 class ImpStepper:
@@ -214,5 +210,4 @@ _STEPPERS = {
 def run_rotating(cfg: RotatingSchemeConfig, n_steps: int,
                  snapshot_times=None) -> RunResult:
     """Iterate the selected scheme from the sampled initial condition."""
-    return run_steps(cfg, _STEPPERS[cfg.scheme], n_steps, snapshot_times,
-                     {"gamma": cfg.gamma})
+    return run_steps(cfg, _STEPPERS[cfg.scheme], n_steps, snapshot_times)

@@ -16,8 +16,8 @@ from aplab.aligned_schemes import AlignedScheme, AlignedSchemeConfig, run_aligne
 from aplab.analysis import error_eta, error_gamma, measure_xi, xi_imex
 from aplab.experiments import run_experiment
 from aplab.grid import make_grid2d
-from aplab.linalg import (CyclicTridiag, SingularMatrixError, assemble,
-                          cond2, solve_cyclic, solve_sparse)
+from aplab.linalg import (CyclicTridiag, SingularMatrixError, SparseFactor,
+                          assemble, cond2, solve_cyclic)
 from aplab.rotating import RotatingModel, ic_gaussian
 from aplab.rotating_schemes import (RotatingScheme, RotatingSchemeConfig,
                                     run_rotating)
@@ -262,7 +262,7 @@ def test_criterion_10_solver_oracles(verdict):
         rows, cols = np.nonzero(dense)
         M = assemble(n, n, rows, cols, dense[rows, cols])
         rhs = rng.standard_normal(n)
-        x, _ = solve_sparse(M, rhs)
+        x, _ = SparseFactor(M).solve(rhs)
         xd = np.linalg.solve(dense, rhs)
         worst_sp = max(worst_sp, float(np.max(np.abs(x - xd))
                                        / max(1.0, np.max(np.abs(xd)))))

@@ -143,13 +143,47 @@ def test_fourier_mass_conserved():
         assert abs(f1.values.sum() - f0.values.sum()) <= 1e-12 * scale
 
 
+def _dense_fourier_step(cfg, values):
+    """Reference Fourier step through dense O(m^2) DFT matrices in the
+    centered mode order, with the symbol written out on its own."""
+    m = cfg.grid.ny - 1
+    ks = dft_wavenumbers(m)
+    j = np.arange(m)
+    fwd = np.exp(-2j * np.pi * np.outer(ks, j) / m) / m
+    inv = np.exp(2j * np.pi * np.outer(j, ks) / m)
+    eps = cfg.model.eps
+    if eps > 0.0:
+        symbol = 1.0 / (1.0 + 1j * (2.0 * np.pi / cfg.grid.ly) * ks * cfg.model.b * cfg.dt / eps)
+    else:
+        symbol = (ks == 0).astype(complex)
+    coeffs = upwind_x(values @ fwd.T, cfg.alpha) * symbol
+    return (coeffs @ inv.T).real
+
+
+@pytest.mark.parametrize("ny", [32, 33])  # m = 31 and 32 y-modes
+@pytest.mark.parametrize("eps", [1.0, 0.0])
+def test_fourier_matches_dense_transform(ny, eps):
+    cfg = make_cfg(AlignedScheme.FOURIER, eps, ny=ny)
+    stepper = FourierStepper(cfg)
+    f = sample(cfg.grid, ic_two_mode)
+    ref = f.values
+    for _ in range(20):
+        f = stepper.step(f)[0]
+        ref = _dense_fourier_step(cfg, ref)
+    assert np.max(np.abs(f.values - ref)) <= 1e-12
+
+
 def test_fourier_mode_limit():
+    # no cap on the number of y-modes: beyond 1024 the N-step result is
+    # still the symbol xi(2)^N applied to the e^{2iy} part of cos(2y)
     grid = make_grid2d(0.0, 2.0 * np.pi, 0.0, 2.0 * np.pi, 3, 1027)
-    model = AlignedModel(a=0.0, b=1.0, eps=1.0)
+    model = AlignedModel(a=0.0, b=1.0, eps=1.0, f_in=lambda x, y: np.cos(2.0 * y) + 0.0 * x)
     cfg = AlignedSchemeConfig(model, grid, 0.01, AlignedScheme.FOURIER)
-    f0 = sample(grid, ic_two_mode)
-    with pytest.raises(ValueError):
-        FourierStepper(cfg).step(f0)[0]
+    n_steps = 50
+    final = run_aligned(cfg, n_steps).snapshots[-1][1]
+    xi = 1.0 / (1.0 + 2j * cfg.dt)
+    exact = (xi ** n_steps * np.exp(2j * grid.y_nodes())).real
+    assert np.max(np.abs(final.values - exact[None, :])) <= 1e-12
 
 
 def test_micromacro_state_checks_zero_mean():
@@ -286,13 +320,3 @@ def test_run_trace_decays_to_mean():
     result = run_aligned(cfg, 500)
     final = result.snapshots[-1][1]
     assert np.max(np.abs(final.values - 1.0)) <= 1e-3
-
-
-def test_run_manifest_contents():
-    cfg = make_cfg(AlignedScheme.LAGRANGE, 0.5, dt=0.25)
-    result = run_aligned(cfg, 4)
-    m = result.manifest
-    assert m["scheme"] == "lagrange"
-    assert m["eps"] == 0.5
-    assert m["n_steps"] == 4
-    assert m["grid"][4] == 33

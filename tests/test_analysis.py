@@ -212,7 +212,7 @@ def test_helmert_basis():
 
 def test_cond_family_aligned_imex_matches_cyclic():
     fam = cond_family_aligned("imex", 8, 2.0)
-    A = fam(0.3).csr.toarray()
+    A = fam(0.3).toarray()
     B = CyclicTridiag(8, 2.3, -2.0).to_dense()
     assert np.max(np.abs(A - B)) <= 1e-15
 
@@ -220,14 +220,14 @@ def test_cond_family_aligned_imex_matches_cyclic():
 def test_cond_family_aligned_micromacro_regular_at_zero():
     fam = cond_family_aligned("micro-macro", 8, 2.0)
     M = fam(0.0)
-    assert M.csr.shape == (7, 7)
+    assert M.shape == (7, 7)
     assert np.isfinite(cond2(M))
 
 
 def test_cond_family_aligned_lagrange_regular_at_zero():
     fam = cond_family_aligned("lagrange", 8, 2.0)
     M = fam(0.0)
-    assert M.csr.shape == (16, 16)
+    assert M.shape == (16, 16)
     assert np.isfinite(cond2(M))
 
 
@@ -239,6 +239,6 @@ def test_cond_family_aligned_rejects_fourier():
 def test_cond_family_rotating_matches_assembly():
     g = make_grid2d(-3, 3, -3, 3, 8, 8)
     fam = cond_family_rotating("imp", g, 0.05)
-    assert abs(fam(0.25).csr - assemble_imp(g, 0.25, 0.05).csr).max() == 0.0
+    assert abs(fam(0.25) - assemble_imp(g, 0.25, 0.05)).max() == 0.0
     fam = cond_family_rotating("lagrange", g, 0.05, gamma=0.8)
-    assert abs(fam(0.1).csr - assemble_lagrange_rot(g, 0.1, 0.05, 0.8).csr).max() == 0.0
+    assert abs(fam(0.1) - assemble_lagrange_rot(g, 0.1, 0.05, 0.8)).max() == 0.0

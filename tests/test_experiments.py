@@ -143,6 +143,10 @@ def test_load_configs_rejects_bad_names(tmp_path, capsys, names):
     {"kind": "amplification-check", "n": 8, "modes": [0, 1.5]},
     {"kind": "amplification-check", "n": 8, "modes": [0, 4]},
     {"kind": "point-trace", "point": [None, 0]},
+    {"kind": "convergence", "vary": "dt", "n_list": [9, 17], "schemes": ["lagrange"]},
+    {"kind": "convergence", "vary": "dy", "n_list": [9, 17], "schemes": ["fourier", "imex"]},
+    {"kind": "convergence", "vary": "dy", "n_list": [], "schemes": ["fourier"]},
+    {"kind": "convergence", "vary": "dt", "n_list": [9, 17, 9], "schemes": ["lagrange"]},
 ])
 def test_scheme_errors_are_config_errors(tmp_path, capsys, entry):
     # caught before any compute starts: exit 1, no output directory
@@ -229,6 +233,38 @@ def test_run_experiment_numerical_failure(tmp_path, capsys):
     cfg = write_config(tmp_path, entry)
     assert run_experiment(cfg, str(tmp_path / "out")) == 2
     assert "numerical failure in tiny: step 1:" in capsys.readouterr().err
+    # neither the experiment's directory nor its partial one is left behind
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def _listed_equals_on_disk(out):
+    listed = {o["path"] for o in json.loads((out / "manifest.json").read_text())["outputs"]}
+    return listed == {p.name for p in out.iterdir()} - {"manifest.json"}
+
+
+def test_failed_batch_entry_keeps_the_others(tmp_path):
+    out = tmp_path / "out"
+    assert run_experiment(write_config(tmp_path, TINY_ALIGNED), str(out)) == 0
+    before = {p.name: p.read_bytes() for p in (out / "tiny").iterdir()}
+    batch = [dict(TINY_ALIGNED, name="first", nt=3), dict(TINY_ALIGNED, eps_list=[0.0])]
+    assert run_experiment(write_config(tmp_path, batch), str(out)) == 2
+    # the failed rerun of tiny leaves the earlier tiny as it was
+    assert {p.name for p in out.iterdir()} == {"tiny", "first"}
+    assert {p.name: p.read_bytes() for p in (out / "tiny").iterdir()} == before
+    assert _listed_equals_on_disk(out / "first")
+
+
+def test_rerun_replaces_the_output_directory(tmp_path):
+    out = tmp_path / "out"
+    (out / "tiny").mkdir(parents=True)
+    (out / "tiny" / "stale.csv").write_text("old\n")
+    (out / ".tiny.partial").mkdir()
+    params = {"nx": 17, "ny": 17, "nt": 3, "schemes": ["imex"], "eps_list": [1.0]}
+    name, paths = experiments._execute_one(("aligned-run", params, "tiny", str(out)))
+    assert {p.name for p in out.iterdir()} == {"tiny"}
+    assert sorted(paths) == sorted(str(p) for p in (out / "tiny").iterdir()
+                                   if p.name != "manifest.json")
+    assert _listed_equals_on_disk(out / "tiny")
 
 
 def test_close_eps_get_their_own_files(tmp_path):
@@ -241,6 +277,21 @@ def test_close_eps_get_their_own_files(tmp_path):
             "field_imex_eps1.4em03_snap1.csv"} <= on_disk
     listed = [o["path"] for o in json.loads((out / "manifest.json").read_text())["outputs"]]
     assert sorted(listed) == sorted(on_disk)
+
+
+def test_convergence_fits_fourier_slope_unless_dy(tmp_path):
+    batch = [{"kind": "convergence", "name": "dt", "vary": "dt", "n_list": [33, 65, 129],
+              "schemes": ["fourier"]},
+             # the Fourier error does not depend on dy: two points, no fit
+             {"kind": "convergence", "name": "dy", "vary": "dy", "n_list": [9, 17],
+              "schemes": ["fourier"]}]
+    assert run_experiment(write_config(tmp_path, batch), str(tmp_path / "out")) == 0
+    slopes = {}
+    for name in ("dt", "dy"):
+        rows = (tmp_path / "out" / name / "slopes.csv").read_text().splitlines()
+        slopes[name] = float(rows[1].split(",")[1])
+    assert 0.85 <= slopes["dt"] <= 1.15
+    assert np.isnan(slopes["dy"])
 
 
 def test_point_trace_outputs(tmp_path):

@@ -14,7 +14,6 @@ from aplab.linalg import (
     dft_y,
     idft_y,
     solve_cyclic,
-    solve_sparse,
 )
 
 
@@ -74,13 +73,13 @@ def test_solve_cyclic_shape_mismatch():
 
 def test_assemble_empty():
     M = assemble(3, 3, [], [], [])
-    assert np.array_equal(M.to_dense(), np.zeros((3, 3)))
-    assert np.array_equal(M.matvec(np.ones(3)), np.zeros(3))
+    assert np.array_equal(M.toarray(), np.zeros((3, 3)))
+    assert np.array_equal(M @ np.ones(3), np.zeros(3))
 
 
 def test_assemble_sums_duplicates():
     M = assemble(3, 3, [1, 1], [1, 1], [2.0, 3.0])
-    dense = M.to_dense()
+    dense = M.toarray()
     assert dense[1, 1] == 5.0
     assert np.count_nonzero(dense) == 1
 
@@ -97,7 +96,7 @@ def test_assemble_rejects_bad_input():
 @pytest.mark.parametrize("n", [1, 2, 7])
 def test_cyclic_to_sparse_matches_dense(n):
     M = CyclicTridiag(n, 1.5, -0.25)
-    assert np.array_equal(M.to_sparse().to_dense(), M.to_dense())
+    assert np.array_equal(M.to_sparse().toarray(), M.to_dense())
 
 
 @pytest.mark.parametrize("n", [1, 2, 7])
@@ -111,15 +110,15 @@ def test_cyclic_matvec_and_solve(n):
         assert np.max(np.abs(solve_cyclic(M, y) - x)) <= 1e-14
 
 
-def test_solve_sparse_identity():
+def test_sparse_factor_identity():
     M = assemble(4, 4, np.arange(4), np.arange(4), np.ones(4))
     e1 = np.array([1.0, 0.0, 0.0, 0.0])
-    x, stats = solve_sparse(M, e1)
+    x, stats = SparseFactor(M).solve(e1)
     assert np.allclose(x, e1, rtol=0, atol=1e-14)
     assert stats.residual_norm <= 1e-12
 
 
-def test_solve_sparse_against_dense_oracle():
+def test_sparse_factor_against_dense_oracle():
     rng = np.random.default_rng(11)
     n = 20
     dense = rng.standard_normal((n, n))
@@ -127,17 +126,17 @@ def test_solve_sparse_against_dense_oracle():
     rows, cols = np.indices((n, n))
     M = assemble(n, n, rows, cols, dense)
     rhs = rng.standard_normal(n)
-    x, stats = solve_sparse(M, rhs)
+    x, stats = SparseFactor(M).solve(rhs)
     x_ref = np.linalg.solve(dense, rhs)
     assert np.max(np.abs(x - x_ref)) <= 1e-10
     assert stats.residual_norm <= 1e-12 * max(1.0, np.linalg.norm(rhs))
 
 
-def test_solve_sparse_singular():
+def test_sparse_factor_singular():
     # second row entirely zero
     M = assemble(2, 2, [0], [0], [1.0])
     with pytest.raises(SingularMatrixError):
-        solve_sparse(M, np.ones(2))
+        SparseFactor(M).solve(np.ones(2))
 
 
 def test_sparse_factor_reuse():
@@ -150,7 +149,7 @@ def test_sparse_factor_reuse():
     for _ in range(3):
         rhs = rng.standard_normal(n)
         x, _ = factor.solve(rhs)
-        assert np.max(np.abs(M.matvec(x) - rhs)) <= 1e-12
+        assert np.max(np.abs(M @ x - rhs)) <= 1e-12
 
 
 def test_cond2_identity():

@@ -81,14 +81,14 @@ def test_upwind_matrix_matches_apply():
     g = make_grid2d(-3, 3, -3, 3, 12, 12)
     rng = np.random.default_rng(3)
     f = Field2D(g, rng.standard_normal((g.nx - 1, g.ny - 1)))
-    via_matrix = upwind_rotation_matrix(g).csr @ f.values.ravel()
+    via_matrix = upwind_rotation_matrix(g) @ f.values.ravel()
     direct = upwind_rotation_apply(f).values.ravel()
     assert np.max(np.abs(via_matrix - direct)) <= 1e-13
 
 
 def test_upwind_matrix_structure():
     g = make_grid2d(-3, 3, -3, 3, 10, 10)
-    U = upwind_rotation_matrix(g).csr
+    U = upwind_rotation_matrix(g)
     m = (g.nx - 1) * (g.ny - 1)
     assert U.shape == (m, m)
     assert U.nnz <= 5 * m
@@ -99,14 +99,14 @@ def test_upwind_matrix_structure():
 
 def test_assemble_imp_large_eps_is_identity():
     g = make_grid2d(-3, 3, -3, 3, 8, 8)
-    A = assemble_imp(g, 1e12, 0.1).csr
+    A = assemble_imp(g, 1e12, 0.1)
     d = A - __import__("scipy.sparse", fromlist=["identity"]).identity(A.shape[0])
     assert abs(d).max() <= 1e-10
 
 
 def test_assemble_imp_row_sums_one():
     g = make_grid2d(-3, 3, -3, 3, 8, 8)
-    A = assemble_imp(g, 0.3, 0.05).csr
+    A = assemble_imp(g, 0.3, 0.05)
     rows = np.asarray(A.sum(axis=1)).ravel()
     assert np.max(np.abs(rows - 1.0)) <= 1e-13
 
@@ -162,19 +162,19 @@ def test_lagrange_system_nonsingular(eps):
     g = make_grid2d(-3, 3, -3, 3, 6, 6)
     A = assemble_lagrange_rot(g, eps, 0.1)
     m = (g.nx - 1) * (g.ny - 1)
-    assert A.csr.shape == (2 * m, 2 * m)
+    assert A.shape == (2 * m, 2 * m)
     rng = np.random.default_rng(11)
     b = rng.standard_normal(2 * m)
     x, _ = SparseFactor(A).solve(b)
-    assert np.max(np.abs(A.csr @ x - b)) <= 1e-10
+    assert np.max(np.abs(A @ x - b)) <= 1e-10
 
 
 def test_lagrange_system_blocks():
     g = make_grid2d(-3, 3, -3, 3, 8, 8)
     dt = 0.07
-    A = assemble_lagrange_rot(g, 0.4, dt).csr
+    A = assemble_lagrange_rot(g, 0.4, dt)
     m = (g.nx - 1) * (g.ny - 1)
-    U = upwind_rotation_matrix(g).csr
+    U = upwind_rotation_matrix(g)
     assert abs(A[:m, :m] - __import__("scipy.sparse", fromlist=["identity"]).identity(m)).max() == 0.0
     assert abs(A[:m, m:] - dt * U).max() <= 1e-15
     assert abs(A[m:, :m] - U).max() == 0.0
@@ -262,11 +262,3 @@ def test_run_rotating_manifest_and_diagnostics():
     r = run_rotating(cfg, 5, snapshot_times=[0.0, 0.3, 0.5])
     assert [t for t, _ in r.snapshots] == pytest.approx([0.0, 0.3, 0.5])
     assert len(r.diagnostics) == 6
-    man = r.manifest
-    assert man["scheme"] == "lagrange"
-    assert man["eps"] == 0.01
-    assert man["dt"] == 0.1
-    assert man["gamma"] == 0.91
-    assert man["n_steps"] == 5
-    assert man["grid"] == [-3.0, 3.0, -3.0, 3.0, 40, 40]
-    assert man["wall_time_s"] >= 0.0
