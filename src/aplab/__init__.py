@@ -5,39 +5,38 @@ diagnostics, and a reproducible CSV experiment runner."""
 
 __version__ = "0.1.0"
 
-from .grid import Field2D, Grid2D, make_grid2d, sample, wrap
+from .grid import Field2D, Grid2D, make_grid2d, sample
 from .linalg import (ConvergenceError, CyclicTridiag, SingularMatrixError,
                      SolveStats, assemble, cond2, dft_y, dft_wavenumbers,
                      idft_y, solve_cyclic)
-from .aligned import (AlignedModel, exact_aligned, ic_constant, ic_two_mode,
-                      limit_aligned, y_average)
+from .aligned import AlignedModel, exact_aligned, ic_two_mode, limit_aligned, y_average
 from .aligned_schemes import (AlignedScheme, AlignedSchemeConfig, LagrangeState,
                               MicroMacroState, run_aligned, upwind_x)
 from .rotating import (RotatingModel, circle_average, exact_rotating,
                        ic_gaussian, rotate)
-from .rotating_schemes import (RotatingScheme, RotatingSchemeConfig, UpwindSplit,
-                               assemble_imp, assemble_lagrange_rot, run_rotating,
+from .rotating_schemes import (RotatingScheme, RotatingSchemeConfig, assemble_imp,
+                               assemble_lagrange_rot, run_rotating,
                                upwind_rotation_apply, upwind_rotation_matrix)
-from .analysis import (ConvergenceTable, ErrorPair, cond_sweep, error_eta,
-                       error_gamma, fit_loglog_slope, measure_xi, xi_imex)
+from .analysis import (cond_sweep, error_eta, error_gamma, fit_loglog_slope,
+                       measure_xi, xi_imex)
 from .results import RunResult, StepRecord
 from .experiments import ExperimentConfig, run_experiment
 
 __all__ = [
     "__version__",
-    "Grid2D", "Field2D", "make_grid2d", "wrap", "sample",
+    "Grid2D", "Field2D", "make_grid2d", "sample",
     "CyclicTridiag", "SolveStats", "solve_cyclic", "assemble",
     "cond2", "dft_y", "idft_y", "dft_wavenumbers",
     "SingularMatrixError", "ConvergenceError",
     "AlignedModel", "exact_aligned", "y_average", "limit_aligned",
-    "ic_two_mode", "ic_constant",
+    "ic_two_mode",
     "AlignedScheme", "AlignedSchemeConfig", "MicroMacroState", "LagrangeState",
     "run_aligned", "upwind_x",
     "RotatingModel", "rotate", "exact_rotating", "circle_average", "ic_gaussian",
-    "RotatingScheme", "RotatingSchemeConfig", "UpwindSplit",
+    "RotatingScheme", "RotatingSchemeConfig",
     "upwind_rotation_apply", "upwind_rotation_matrix", "assemble_imp",
     "assemble_lagrange_rot", "run_rotating",
-    "ErrorPair", "ConvergenceTable", "error_eta", "error_gamma",
+    "error_eta", "error_gamma",
     "fit_loglog_slope", "xi_imex", "measure_xi", "cond_sweep",
     "RunResult", "StepRecord",
     "ExperimentConfig", "run_experiment",

@@ -17,20 +17,13 @@ from .grid import Field2D, Grid2D, sample
 
 __all__ = [
     "AlignedModel", "exact_aligned", "y_average", "limit_aligned",
-    "ic_two_mode", "ic_constant",
+    "ic_two_mode",
 ]
 
 
 def ic_two_mode(x, y):
     """Default initial profile sin(x) * (cos(2y) + 1)."""
     return np.sin(x) * (np.cos(2.0 * y) + 1.0)
-
-
-def ic_constant(c: float = 1.0) -> Callable:
-    """Constant initial profile."""
-    def _ic(x, y):
-        return np.broadcast_to(np.asarray(c, dtype=float), np.broadcast_shapes(np.shape(x), np.shape(y))).copy()
-    return _ic
 
 
 @dataclass(frozen=True)
@@ -74,7 +67,7 @@ def exact_aligned(m: AlignedModel, t: float, grid: Grid2D) -> Field2D:
         fy = grid.y_min + np.mod(y - shift_y - grid.y_min, grid.ly)
         return m.f_in(fx, fy)
 
-    return sample(grid, shifted, t)
+    return sample(grid, shifted)
 
 
 def y_average(f: Field2D) -> np.ndarray:
@@ -95,4 +88,4 @@ def limit_aligned(m: AlignedModel, t: float, grid: Grid2D) -> np.ndarray:
     def advected(x, y):
         return m.f_in(grid.x_min + np.mod(x - m.a * t - grid.x_min, grid.lx), y)
 
-    return y_average(sample(grid, advected, t))
+    return y_average(sample(grid, advected))

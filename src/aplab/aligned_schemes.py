@@ -161,8 +161,7 @@ class ImexStepper:
         sol = solve_cyclic(self.matrix, rhs.T).T
         resid = float(np.max(np.abs(self.matrix.matvec(sol.T) - rhs.T)))
         scale = max(1.0, float(np.max(np.abs(rhs))))
-        return (f.with_values(sol, f.time + cfg.dt),
-                SolveStats(resid / scale, 1))
+        return f.with_values(sol), SolveStats(resid / scale, 1)
 
 
 class FourierStepper:
@@ -183,7 +182,7 @@ class FourierStepper:
         # dft_y transforms along axis 0, so y goes first for both transforms
         coeffs = upwind_x(dft_y(f.values.T).T, cfg.alpha) * self.factor
         vals = idft_y(coeffs.T).T.real
-        return f.with_values(vals, f.time + cfg.dt), SolveStats(0.0, 0)
+        return f.with_values(vals), SolveStats(0.0, 0)
 
 
 class MicroMacroStepper:
@@ -203,7 +202,7 @@ class MicroMacroStepper:
             h_new, stats = self.inner.step(s.h)
             # re-projection removes roundoff drift; exact step keeps mean zero
             h_vals = h_new.values - h_new.values.mean(axis=1)[:, None]
-        return (MicroMacroState(H_new, s.h.with_values(h_vals, s.h.time + cfg.dt)), stats)
+        return MicroMacroState(H_new, s.h.with_values(h_vals)), stats
 
 
 def aligned_lagrange_matrix(m: int, beta: float, eps: float):
@@ -249,9 +248,7 @@ class LagrangeAlignedStepper:
         f_vals = sol[:m].T
         q_vals = sol[m:].T.copy()
         q_vals[:, 0] = 0.0
-        t_new = s.f.time + cfg.dt
-        return (LagrangeState(s.f.with_values(f_vals, t_new),
-                              s.q.with_values(q_vals, t_new)), stats)
+        return LagrangeState(s.f.with_values(f_vals), s.q.with_values(q_vals)), stats
 
 
 _STEPPERS = {

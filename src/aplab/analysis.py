@@ -8,7 +8,7 @@ number sweeps over the stiffness parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,48 +20,10 @@ from .linalg import ConvergenceError, CyclicTridiag, SingularMatrixError, cond2
 from .rotating_schemes import RotatingScheme, assemble_imp, assemble_lagrange_rot
 
 __all__ = [
-    "ErrorPair", "ConvergenceTable", "error_eta", "error_gamma",
+    "error_eta", "error_gamma",
     "fit_loglog_slope", "xi_imex", "measure_xi", "cond_sweep",
     "helmert_basis", "cond_family_aligned", "cond_family_rotating",
 ]
-
-
-@dataclass(frozen=True)
-class ErrorPair:
-    """L-infinity errors of one run at one time: vs exact and vs limit."""
-
-    eta: float
-    gamma: float
-    t: float
-    eps: float
-
-    def __post_init__(self) -> None:
-        if not (self.eta >= 0.0) or not (self.gamma >= 0.0):
-            raise ValueError(f"errors must be >= 0, got eta={self.eta}, gamma={self.gamma}")
-
-
-@dataclass
-class ConvergenceTable:
-    """Errors against step sizes, plus the fitted log-log slope.
-
-    ``retained`` records the index window [start, stop) actually used by the
-    slope fit after knee trimming.
-    """
-
-    step_sizes: np.ndarray
-    errors: np.ndarray
-    fitted_slope: float = float("nan")
-    retained: tuple | None = None
-
-    def __post_init__(self) -> None:
-        self.step_sizes = np.asarray(self.step_sizes, dtype=float)
-        self.errors = np.asarray(self.errors, dtype=float)
-        if self.step_sizes.ndim != 1 or self.step_sizes.shape != self.errors.shape:
-            raise ValueError("step_sizes and errors must be 1-d and equally long")
-        if np.any(np.diff(self.step_sizes) >= 0.0):
-            raise ValueError("step_sizes must be strictly decreasing")
-        if not np.all(self.errors > 0.0) or not np.all(np.isfinite(self.errors)):
-            raise ValueError("errors must be positive and finite")
 
 
 def error_eta(f_num: Field2D, f_ex: Field2D) -> float:
@@ -89,22 +51,29 @@ def _fit_window(log_h: np.ndarray, log_e: np.ndarray) -> tuple[float, float]:
     return float(slope), rel
 
 
-def fit_loglog_slope(table: ConvergenceTable) -> float:
-    """Fit log(error) against log(step size) and store the slope.
+def fit_loglog_slope(step_sizes, errors) -> tuple[float, tuple[int, int]]:
+    """Fit log(error) against log(step size); returns (slope, (start, stop)).
 
+    Step sizes must be strictly decreasing and errors positive and finite.
     When the full-range fit has a relative residual above 5%, the head and
     tail are trimmed: the longest contiguous window (>= 3 points) whose fit
     passes the threshold is retained. If no window passes, the best window
-    covering at least half the data is used. The retained index range is
-    recorded in ``table.retained``.
+    covering at least half the data is used. ``[start, stop)`` is the index
+    window the slope was fitted on.
     """
-    n = table.step_sizes.size
+    step_sizes = np.asarray(step_sizes, dtype=float)
+    errors = np.asarray(errors, dtype=float)
+    if step_sizes.ndim != 1 or step_sizes.shape != errors.shape:
+        raise ValueError("step_sizes and errors must be 1-d and equally long")
+    if np.any(np.diff(step_sizes) >= 0.0):
+        raise ValueError("step_sizes must be strictly decreasing")
+    if not np.all(errors > 0.0) or not np.all(np.isfinite(errors)):
+        raise ValueError("errors must be positive and finite")
+    n = step_sizes.size
     if n < 3:
         raise ValueError(f"slope fit needs >= 3 points, got {n}")
-    if not np.all(table.errors > 0.0):
-        raise ValueError("errors must be positive for a log-log fit")
-    log_h = np.log(table.step_sizes)
-    log_e = np.log(table.errors)
+    log_h = np.log(step_sizes)
+    log_e = np.log(errors)
 
     slope, rel = _fit_window(log_h, log_e)
     window = (0, n)
@@ -123,9 +92,7 @@ def fit_loglog_slope(table: ConvergenceTable) -> float:
         else:
             _, _, i, j, slope = max(fallback)
         window = (i, j)
-    table.fitted_slope = slope
-    table.retained = window
-    return slope
+    return slope, window
 
 
 def xi_imex(alpha: float, beta: float, eps: float, k: int, l: int,

@@ -25,9 +25,8 @@ import numpy as np
 from . import __version__
 from .aligned import AlignedModel, exact_aligned, ic_two_mode, limit_aligned
 from .aligned_schemes import (AlignedScheme, AlignedSchemeConfig, run_aligned)
-from .analysis import (ConvergenceTable, ErrorPair, cond_family_aligned,
-                       cond_family_rotating, cond_sweep, error_eta,
-                       error_gamma, fit_loglog_slope, measure_xi, xi_imex)
+from .analysis import (cond_family_aligned, cond_family_rotating, cond_sweep,
+                       error_eta, error_gamma, fit_loglog_slope, measure_xi, xi_imex)
 from .grid import make_grid2d
 from .linalg import ConvergenceError, SingularMatrixError
 from .rotating import RotatingModel, circle_average, ic_gaussian
@@ -123,11 +122,12 @@ _NUMBER_LISTS = {"eps_list": False, "n_list": True, "alpha_list": False, "modes"
 
 
 def _is_number(value, integer: bool = False) -> bool:
-    """A finite int or float, not a bool; with ``integer``, of integer value."""
+    """A finite float, or an int of magnitude <= 2**53, not a bool; with
+    ``integer``, of integer value. numpy takes no Python int beyond 64 bits."""
     if isinstance(value, bool):
         return False
     if isinstance(value, int):
-        return True  # JSON integers may exceed the float range
+        return abs(value) <= 2 ** 53
     return (isinstance(value, float) and math.isfinite(value)
             and (not integer or value.is_integer()))
 
@@ -163,9 +163,17 @@ class ExperimentConfig:
         for key in ("nx", "ny", "nt", "n", "rot_n"):
             if key in p and not (_is_number(p[key], integer=True) and p[key] >= 3):
                 raise ValueError(f"key '{key}': must be an integer >= 3")
-        for key in ("t_end", "dt", "rot_dt", "beta", "b"):
+        for key in ("t_end", "dt", "rot_dt", "beta", "b", "alpha"):
             if key in p and not (_is_number(p[key]) and p[key] > 0.0):
                 raise ValueError(f"key '{key}': must be finite and > 0")
+        if "a" in p and not (_is_number(p["a"]) and p["a"] >= 0.0):
+            raise ValueError("key 'a': must be finite and >= 0")
+        for key in ("gamma", "x_min", "x_max", "y_min", "y_max"):
+            if key in p and not _is_number(p[key]):
+                raise ValueError(f"key '{key}': must be finite")
+        for lo, hi in (("x_min", "x_max"), ("y_min", "y_max")):
+            if lo in p and not p[hi] > p[lo]:
+                raise ValueError(f"key '{hi}': must be > {lo}")
         if "ic" in p and p["ic"] not in INITIAL_CONDITIONS:
             raise ValueError(f"key 'ic': unknown initial condition '{p['ic']}'")
         if "schemes" in p:
@@ -352,9 +360,8 @@ def _slope_row(label: str, steps, values, fit: bool = True) -> tuple:
     if not fit:
         return label, float("nan"), spread
     order = np.argsort(steps)[::-1]
-    table = ConvergenceTable(np.asarray(steps, dtype=float)[order], values[order])
-    fit_loglog_slope(table)
-    return label, table.fitted_slope, spread
+    slope, _ = fit_loglog_slope(np.asarray(steps, dtype=float)[order], values[order])
+    return label, slope, spread
 
 
 def _aligned_errors(scfg: AlignedSchemeConfig, result) -> tuple:
@@ -420,9 +427,7 @@ def _run_eps_sweep(cfg: ExperimentConfig, out: Path) -> tuple:
     p = cfg.params
     rows = {}
     for scheme, eps, scfg, result in _runs(p, _aligned_config, run_aligned):
-        t_end, eta, gamma = _aligned_errors(scfg, result)
-        pair = ErrorPair(eta, gamma, t_end, eps)
-        rows.setdefault(scheme, []).append((pair.eps, pair.t, pair.eta, pair.gamma))
+        rows.setdefault(scheme, []).append((eps, *_aligned_errors(scfg, result)))
     files = [_write_csv(out / f"errors_{scheme}.csv", ["eps", "t", "eta", "gamma"], r)
              for scheme, r in rows.items()]
     return files, ["set logscale x"] + [
@@ -544,7 +549,14 @@ _RUNNERS = {
     "amplification-check": _run_amplification_check,
 }
 
-_NUMERICAL_FAILURES = (SingularMatrixError, ConvergenceError, FloatingPointError, ValueError)
+# what an experiment may raise that ends it with exit code 2, by message label
+_FAILURES = {"numerical failure": (SingularMatrixError, ConvergenceError, FloatingPointError,
+                                   ValueError),
+             "OS error": OSError, "out of memory": MemoryError}
+
+
+class ExperimentFailure(Exception):
+    """A failure inside one experiment; the message names the experiment."""
 
 
 def _execute_one(task) -> tuple:
@@ -555,10 +567,10 @@ def _execute_one(task) -> tuple:
     cfg = ExperimentConfig(kind, params, name)
     out = Path(out_base) / name
     partial = Path(out_base) / f".{name}.partial"
-    shutil.rmtree(partial, ignore_errors=True)
-    partial.mkdir(parents=True)
     t0 = _time.perf_counter()
     try:
+        shutil.rmtree(partial, ignore_errors=True)
+        partial.mkdir(parents=True)
         files, plot_lines = _RUNNERS[kind](cfg, partial)
         gp = partial / "plot.gp"
         gp.write_text("set datafile separator \",\"\nset key outside\n"
@@ -576,8 +588,9 @@ def _execute_one(task) -> tuple:
         partial.rename(out)
     except BaseException as exc:
         shutil.rmtree(partial, ignore_errors=True)
-        if isinstance(exc, _NUMERICAL_FAILURES):
-            exc.args = (f"in {name}: {exc}",) + exc.args[1:]
+        for label, kinds in _FAILURES.items():
+            if isinstance(exc, kinds):
+                raise ExperimentFailure(f"{label} in {name}: {exc}") from exc
         raise
     return name, [str(out / f.name) for f in files]
 
@@ -587,7 +600,8 @@ def run_experiment(config_path: str, out_dir: str | None = None,
     """Run every experiment in a config file; returns the process exit code.
 
     0 on success, 1 for config errors (the message names the offending key),
-    2 for numerical failures inside an experiment (the message names it).
+    2 for a numerical, OS or out-of-memory failure inside an experiment (the
+    message names it).
     """
     try:
         configs = load_configs(config_path)
@@ -602,8 +616,8 @@ def run_experiment(config_path: str, out_dir: str | None = None,
                 results = list(pool.map(_execute_one, tasks))
         else:
             results = [_execute_one(t) for t in tasks]
-    except _NUMERICAL_FAILURES as exc:
-        print(f"numerical failure {exc}", file=sys.stderr)
+    except ExperimentFailure as exc:
+        print(exc, file=sys.stderr)
         return 2
     for name, files in results:
         print(f"{name}: {len(files)} files")

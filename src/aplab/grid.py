@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Grid2D", "Field2D", "make_grid2d", "wrap", "sample"]
+__all__ = ["Grid2D", "Field2D", "make_grid2d", "sample"]
 
 
 @dataclass(frozen=True)
@@ -67,19 +67,9 @@ def make_grid2d(x_min: float, x_max: float, y_min: float, y_max: float,
                   int(nx), int(ny), dx, dy)
 
 
-def wrap(i: int, n: int) -> int:
-    """Periodic index wrap onto ``1..n`` (1-based).
-
-    ``wrap(0, n) == n`` and ``wrap(n+1, n) == 1``.
-    """
-    if n < 1:
-        raise ValueError(f"wrap needs n >= 1, got {n}")
-    return (i - 1) % n + 1
-
-
 @dataclass(frozen=True, eq=False)
 class Field2D:
-    """Scalar samples on the independent grid nodes at one time level.
+    """Scalar samples on the independent grid nodes.
 
     ``values[i, j]`` lives at ``(x_nodes()[i], y_nodes()[j])``. Values are
     validated finite on construction, so a blown-up step surfaces as an
@@ -88,7 +78,6 @@ class Field2D:
 
     grid: Grid2D
     values: np.ndarray
-    time: float = 0.0
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
@@ -100,7 +89,6 @@ class Field2D:
         vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "time", float(self.time))
 
     @property
     def field(self) -> "Field2D":
@@ -110,12 +98,6 @@ class Field2D:
     def mass(self) -> float:
         return float(self.values.sum())
 
-    def at(self, i: int, j: int) -> float:
-        """Value at 1-based node indices, aliased nodes included."""
-        ii = wrap(i, self.grid.nx - 1) - 1
-        jj = wrap(j, self.grid.ny - 1) - 1
-        return float(self.values[ii, jj])
-
     def full_values(self) -> np.ndarray:
         """Values on all ``nx x ny`` nodes, alias row/column materialized."""
         out = np.empty((self.grid.nx, self.grid.ny))
@@ -124,28 +106,23 @@ class Field2D:
         out[:, -1] = out[:, 0]
         return out
 
-    def with_values(self, values: np.ndarray, time: float | None = None) -> "Field2D":
+    def with_values(self, values: np.ndarray) -> "Field2D":
         """New field on the same grid."""
-        return Field2D(self.grid, values, self.time if time is None else time)
+        return Field2D(self.grid, values)
 
 
-def sample(grid: Grid2D, g, t: float = 0.0) -> Field2D:
-    """Sample ``g(x, y)`` on the independent nodes of ``grid`` at time ``t``.
+def sample(grid: Grid2D, g) -> Field2D:
+    """Sample ``g(x, y)`` on the independent nodes of ``grid``.
 
-    ``g`` may be vectorized over NumPy arrays or a plain scalar function.
-    Non-finite samples raise FloatingPointError.
+    ``g`` is called once, on the x-nodes as a column and the y-nodes as a
+    row; a result that does not depend on both (a constant, say) is
+    broadcast onto the grid. Non-finite samples raise FloatingPointError.
     """
     x = grid.x_nodes()
     y = grid.y_nodes()
-    try:
-        vals = np.asarray(g(x[:, None], y[None, :]), dtype=float)
-        if vals.shape != (x.size, y.size):
-            vals = np.broadcast_to(vals, (x.size, y.size)).copy()
-    except (TypeError, ValueError):
-        vals = np.empty((x.size, y.size))
-        for i, xi in enumerate(x):
-            for j, yj in enumerate(y):
-                vals[i, j] = g(xi, yj)
+    vals = np.asarray(g(x[:, None], y[None, :]), dtype=float)
+    if vals.shape != (x.size, y.size):
+        vals = np.broadcast_to(vals, (x.size, y.size)).copy()
     if not np.all(np.isfinite(vals)):
         raise FloatingPointError("non-finite sample")
-    return Field2D(grid, vals, t)
+    return Field2D(grid, vals)

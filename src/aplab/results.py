@@ -50,7 +50,7 @@ def run_steps(cfg, make_stepper, n_steps: int, snapshot_times=None) -> RunResult
             raise ValueError(f"snapshot time {t} is not a step multiple within the run")
         snap_steps.add(int(n))
 
-    f0 = sample(cfg.grid, cfg.model.f_in, 0.0)
+    f0 = sample(cfg.grid, cfg.model.f_in)
     stepper = make_stepper(cfg)
     state = stepper.initial(f0)
 

@@ -17,6 +17,8 @@ from .grid import Field2D, Grid2D, sample
 __all__ = ["RotatingModel", "ic_gaussian", "rotate", "exact_rotating",
            "circle_average"]
 
+N_QUAD = 256  # equispaced angles of circle_average's quadrature
+
 
 def ic_gaussian(x, y):
     """Radial Gaussian with sigma = 0.5; invariant under any rotation."""
@@ -56,7 +58,7 @@ def exact_rotating(m: RotatingModel, t: float, grid: Grid2D) -> Field2D:
         xr, yr = rotate(x, y, angle)
         return m.f_in(xr, yr)
 
-    return sample(grid, turned, t)
+    return sample(grid, turned)
 
 
 def _bilinear_periodic(f: Field2D, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -78,16 +80,14 @@ def _bilinear_periodic(f: Field2D, xs: np.ndarray, ys: np.ndarray) -> np.ndarray
             + (1.0 - fu) * fv * V[i0, j1] + fu * fv * V[i1, j1])
 
 
-def circle_average(f: Field2D, radius: float, n_quad: int = 256) -> float:
+def circle_average(f: Field2D, radius: float) -> float:
     """Mean of f over an origin-centered circle of the given radius.
 
-    Values on the circle come from bilinear interpolation at ``n_quad``
+    Values on the circle come from bilinear interpolation at ``N_QUAD``
     equispaced angles. The circle must lie inside the domain; the
     interpolation error is O(dx^2), so this is a diagnostic, not a scheme
     ingredient.
     """
-    if n_quad < 8:
-        raise ValueError(f"n_quad must be >= 8, got {n_quad}")
     if not np.isfinite(radius) or radius < 0.0:
         raise ValueError(f"radius must be finite and >= 0, got {radius}")
     g = f.grid
@@ -95,6 +95,6 @@ def circle_average(f: Field2D, radius: float, n_quad: int = 256) -> float:
         raise ValueError(
             f"circle of radius {radius} reaches outside the domain "
             f"[{g.x_min}, {g.x_max}] x [{g.y_min}, {g.y_max}]")
-    theta = 2.0 * np.pi * np.arange(n_quad) / n_quad
+    theta = 2.0 * np.pi * np.arange(N_QUAD) / N_QUAD
     vals = _bilinear_periodic(f, radius * np.cos(theta), radius * np.sin(theta))
     return float(vals.mean())

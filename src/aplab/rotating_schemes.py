@@ -22,7 +22,7 @@ from .results import RunResult, run_steps
 from .rotating import RotatingModel
 
 __all__ = [
-    "RotatingScheme", "RotatingSchemeConfig", "UpwindSplit",
+    "RotatingScheme", "RotatingSchemeConfig",
     "upwind_rotation_apply", "upwind_rotation_matrix", "assemble_imp",
     "assemble_lagrange_rot", "run_rotating",
 ]
@@ -62,34 +62,6 @@ class RotatingSchemeConfig:
         return self.dt / self.grid.dy
 
 
-@dataclass(frozen=True)
-class UpwindSplit:
-    """Signed parts of the node coordinates entering the upwind stencil.
-
-    xp_i + xm_i recovers x_i exactly; one of the pair is always zero.
-    """
-
-    xp_i: np.ndarray
-    xm_i: np.ndarray
-    yp_j: np.ndarray
-    ym_j: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("xp_i", "xm_i", "yp_j", "ym_j"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if np.any(self.xp_i < 0.0) or np.any(self.yp_j < 0.0):
-            raise ValueError("positive parts must be >= 0")
-        if np.any(self.xm_i > 0.0) or np.any(self.ym_j > 0.0):
-            raise ValueError("negative parts must be <= 0")
-
-    @classmethod
-    def from_grid(cls, grid: Grid2D) -> "UpwindSplit":
-        x = grid.x_nodes()
-        y = grid.y_nodes()
-        return cls(np.maximum(x, 0.0), np.minimum(x, 0.0),
-                   np.maximum(y, 0.0), np.minimum(y, 0.0))
-
-
 def upwind_rotation_apply(g: Field2D) -> Field2D:
     """Apply the upwind discretization of y*d/dx - x*d/dy to a field.
 
@@ -97,14 +69,15 @@ def upwind_rotation_apply(g: Field2D) -> Field2D:
     annihilated exactly because all neighbor differences vanish.
     """
     gr = g.grid
-    s = UpwindSplit.from_grid(gr)
+    x = gr.x_nodes()[:, None]
+    y = gr.y_nodes()[None, :]
     V = g.values
     bdx = V - np.roll(V, 1, axis=0)
     fdx = np.roll(V, -1, axis=0) - V
     bdy = V - np.roll(V, 1, axis=1)
     fdy = np.roll(V, -1, axis=1) - V
-    out = ((s.yp_j[None, :] * bdx + s.ym_j[None, :] * fdx) / gr.dx
-           - (s.xp_i[:, None] * fdy + s.xm_i[:, None] * bdy) / gr.dy)
+    out = ((np.maximum(y, 0.0) * bdx + np.minimum(y, 0.0) * fdx) / gr.dx
+           - (np.maximum(x, 0.0) * fdy + np.minimum(x, 0.0) * bdy) / gr.dy)
     return g.with_values(out)
 
 
@@ -118,14 +91,14 @@ def upwind_rotation_matrix(grid: Grid2D) -> sp.csr_matrix:
     sums (and the mass change per application) vanish to roundoff.
     """
     nx1, ny1 = grid.nx - 1, grid.ny - 1
-    s = UpwindSplit.from_grid(grid)
+    x, y = grid.x_nodes(), grid.y_nodes()
     I, J = np.meshgrid(np.arange(nx1), np.arange(ny1), indexing="ij")
     I, J = I.ravel(), J.ravel()
     center = I * ny1 + J
-    yp = s.yp_j[J] / grid.dx
-    ym = s.ym_j[J] / grid.dx
-    xp = s.xp_i[I] / grid.dy
-    xm = s.xm_i[I] / grid.dy
+    yp = np.maximum(y, 0.0)[J] / grid.dx
+    ym = np.minimum(y, 0.0)[J] / grid.dx
+    xp = np.maximum(x, 0.0)[I] / grid.dy
+    xm = np.minimum(x, 0.0)[I] / grid.dy
     rows = np.concatenate([center] * 5)
     cols = np.concatenate([
         center,
@@ -179,7 +152,7 @@ class ImpStepper:
     def step(self, f: Field2D) -> tuple[Field2D, SolveStats]:
         flat, stats = self.factor.solve(f.values.ravel())
         vals = flat.reshape(f.values.shape)
-        return f.with_values(vals, f.time + self.cfg.dt), stats
+        return f.with_values(vals), stats
 
 
 class LagrangeRotatingStepper:
@@ -196,9 +169,8 @@ class LagrangeRotatingStepper:
         rhs = np.zeros(2 * M)
         rhs[:M] = s.f.values.ravel()
         sol, stats = self.factor.solve(rhs)
-        t_new = s.f.time + self.cfg.dt
-        return (LagrangeState(s.f.with_values(sol[:M].reshape(shape), t_new),
-                              s.q.with_values(sol[M:].reshape(shape), t_new)), stats)
+        return (LagrangeState(s.f.with_values(sol[:M].reshape(shape)),
+                              s.q.with_values(sol[M:].reshape(shape))), stats)
 
 
 _STEPPERS = {

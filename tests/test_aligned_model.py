@@ -4,7 +4,6 @@ import pytest
 from aplab.aligned import (
     AlignedModel,
     exact_aligned,
-    ic_constant,
     ic_two_mode,
     limit_aligned,
     y_average,
@@ -73,7 +72,7 @@ def test_exact_small_eps_stays_bounded():
 
 def test_y_average_constant():
     g = torus_grid(17)
-    f = sample(g, ic_constant(4.5))
+    f = sample(g, lambda x, y: 4.5 + 0.0 * x)
     assert np.allclose(y_average(f), 4.5, rtol=0.0, atol=0.0)
 
 

@@ -7,8 +7,6 @@ from hypothesis import given, strategies as st
 from aplab.aligned import AlignedModel, exact_aligned, ic_two_mode, limit_aligned
 from aplab.aligned_schemes import AlignedSchemeConfig, run_aligned
 from aplab.analysis import (
-    ConvergenceTable,
-    ErrorPair,
     cond_family_aligned,
     cond_family_rotating,
     cond_sweep,
@@ -31,23 +29,22 @@ def imex_cfg(a=0.1, b=1.0, dt=0.01, eps=1.0, grid=GRID64):
     return AlignedSchemeConfig(model, grid, dt, "imex")
 
 
-def test_error_pair_validation():
-    p = ErrorPair(eta=0.1, gamma=0.0, t=1.0, eps=0.5)
-    assert p.eta == 0.1
-    with pytest.raises(ValueError):
-        ErrorPair(eta=-1e-16, gamma=0.0, t=0.0, eps=1.0)
-    with pytest.raises(ValueError):
-        ErrorPair(eta=0.0, gamma=float("nan"), t=0.0, eps=1.0)
-
-
 def test_convergence_table_validation():
-    ConvergenceTable([1.0, 0.5, 0.25], [3.0, 1.5, 0.75])
+    fit_loglog_slope([1.0, 0.5, 0.25], [3.0, 1.5, 0.75])
     with pytest.raises(ValueError, match="decreasing"):
-        ConvergenceTable([1.0, 1.0, 0.5], [1.0, 1.0, 1.0])
+        fit_loglog_slope([1.0, 1.0, 0.5], [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="decreasing"):
+        fit_loglog_slope([0.25, 0.5, 1.0], [1.0, 1.0, 1.0])
     with pytest.raises(ValueError, match="positive"):
-        ConvergenceTable([1.0, 0.5, 0.25], [1.0, 0.0, 1.0])
+        fit_loglog_slope([1.0, 0.5, 0.25], [1.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        fit_loglog_slope([1.0, 0.5, 0.25], [1.0, np.inf, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        fit_loglog_slope([1.0, 0.5, 0.25], [1.0, np.nan, 1.0])
     with pytest.raises(ValueError, match="1-d"):
-        ConvergenceTable([1.0, 0.5], [1.0, 0.5, 0.25])
+        fit_loglog_slope([1.0, 0.5], [1.0, 0.5, 0.25])
+    with pytest.raises(ValueError, match="1-d"):
+        fit_loglog_slope([[1.0, 0.5, 0.25]], [[1.0, 0.5, 0.25]])
 
 
 def test_error_eta_basics():
@@ -104,38 +101,36 @@ def test_error_eta_triangle_inequality():
 
 def test_fit_slope_exact_powers():
     h = np.array([1.0, 0.5, 0.25])
-    t = ConvergenceTable(h, 0.7 * h)
-    assert fit_loglog_slope(t) == pytest.approx(1.0, abs=1e-12)
-    assert t.fitted_slope == t.fitted_slope == pytest.approx(1.0, abs=1e-12)
-    t2 = ConvergenceTable(h, 0.7 * h ** 2)
-    assert fit_loglog_slope(t2) == pytest.approx(2.0, abs=1e-12)
-    assert t.retained == (0, 3)
+    slope, window = fit_loglog_slope(h, 0.7 * h)
+    assert slope == pytest.approx(1.0, abs=1e-12)
+    assert window == (0, 3)
+    slope2, _ = fit_loglog_slope(h, 0.7 * h ** 2)
+    assert slope2 == pytest.approx(2.0, abs=1e-12)
 
 
 def test_fit_slope_needs_three_points():
     with pytest.raises(ValueError, match="3 points"):
-        fit_loglog_slope(ConvergenceTable([1.0, 0.5], [1.0, 0.5]))
+        fit_loglog_slope([1.0, 0.5], [1.0, 0.5])
 
 
 def test_fit_slope_flat_data():
-    t = ConvergenceTable(np.logspace(0, -2, 7), np.full(7, 0.3))
-    assert fit_loglog_slope(t) == pytest.approx(0.0, abs=1e-12)
+    slope, _ = fit_loglog_slope(np.logspace(0, -2, 7), np.full(7, 0.3))
+    assert slope == pytest.approx(0.0, abs=1e-12)
 
 
 def test_fit_slope_trims_saturated_tail():
     h = np.logspace(0, -2, 9)
-    t = ConvergenceTable(h, np.maximum(0.3 * h, 0.008))
-    slope = fit_loglog_slope(t)
+    slope, window = fit_loglog_slope(h, np.maximum(0.3 * h, 0.008))
     assert slope == pytest.approx(1.0, abs=1e-6)
-    assert t.retained == (0, 7)
+    assert window == (0, 7)
 
 
 @given(st.floats(1e-6, 1e6))
 def test_fit_slope_scale_invariant(c):
     h = np.array([1.0, 0.4, 0.2, 0.09])
     e = np.array([2.0, 0.9, 0.5, 0.21])
-    s1 = fit_loglog_slope(ConvergenceTable(h, e))
-    s2 = fit_loglog_slope(ConvergenceTable(h, c * e))
+    s1, _ = fit_loglog_slope(h, e)
+    s2, _ = fit_loglog_slope(h, c * e)
     assert s1 == pytest.approx(s2, abs=1e-10)
 
 

@@ -1,13 +1,18 @@
-"""Every exported name resolves: ``aplab.__all__`` and each module's ``__all__``."""
+"""Every exported name resolves: ``aplab.__all__`` and each module's ``__all__``;
+every function and method the benchmark's span recorder wraps still exists."""
 
 import importlib
+import importlib.util
 import pkgutil
+import sys
+from pathlib import Path
 
 import pytest
 
 import aplab
 
 MODULES = sorted(f"aplab.{m.name}" for m in pkgutil.iter_modules(aplab.__path__))
+SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
 @pytest.mark.parametrize("module_name", ["aplab"] + MODULES)
@@ -17,3 +22,17 @@ def test_all_names_resolve(module_name):
     assert len(names) == len(set(names)), "duplicate names in __all__"
     missing = [n for n in names if not hasattr(module, n)]
     assert not missing, f"{module_name}.__all__ names missing attributes: {missing}"
+
+
+def test_benchmark_span_targets_exist(monkeypatch):
+    # bench/run.py --trace 1 wraps these by name; a deleted one breaks the benchmark
+    for name in MODULES:
+        importlib.import_module(name)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
+    spec = importlib.util.spec_from_file_location("aplab_bench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for fn, name, _ in spans._function_targets():
+        assert callable(fn), name
+    for cls, attr, name, _ in spans._method_targets():
+        assert attr in cls.__dict__, f"{cls.__name__}.{attr} ({name})"

@@ -8,6 +8,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aplab import experiments
 from aplab.cli import main
@@ -147,12 +148,55 @@ def test_load_configs_rejects_bad_names(tmp_path, capsys, names):
     {"kind": "convergence", "vary": "dy", "n_list": [9, 17], "schemes": ["fourier", "imex"]},
     {"kind": "convergence", "vary": "dy", "n_list": [], "schemes": ["fourier"]},
     {"kind": "convergence", "vary": "dt", "n_list": [9, 17, 9], "schemes": ["lagrange"]},
+    {"kind": "aligned-run", "a": -1},
+    {"kind": "aligned-run", "x_min": 7},
+    {"kind": "rotating-run", "gamma": 1e400},
+    {"kind": "amplification-check", "alpha": -1},
+    # integers numpy cannot take as a number: beyond 64 bits, beyond the float range
+    {"kind": "aligned-run", "a": 10 ** 300},
+    {"kind": "rotating-run", "t_end": 10 ** 400},
+    {"kind": "aligned-run", "nx": 10 ** 31},
 ])
 def test_scheme_errors_are_config_errors(tmp_path, capsys, entry):
     # caught before any compute starts: exit 1, no output directory
     assert run_experiment(write_config(tmp_path, entry), str(tmp_path / "out")) == 1
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+NUMERIC_KEYS = [(kind, key) for kind in EXPERIMENT_KINDS
+                for key, value in default_params(kind).items()
+                if isinstance(value, (int, float))]
+
+
+@pytest.mark.parametrize("kind,key", NUMERIC_KEYS)
+def test_non_finite_numbers_are_config_errors(kind, key):
+    for value in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            ExperimentConfig(kind, {key: value})
+
+
+JSON_LEAVES = (st.none() | st.booleans() | st.text(max_size=4)
+               | st.integers() | st.sampled_from([2 ** 53, 2 ** 64, -(10 ** 400), 10 ** 31])
+               | st.floats(allow_nan=True, allow_infinity=True))
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_config_fuzz_constructs_or_raises_value_error(data):
+    # constructs only: a config that passes is never run here
+    kind = data.draw(st.sampled_from(EXPERIMENT_KINDS))
+    keys = data.draw(st.sets(st.sampled_from(sorted(default_params(kind)))))
+    params = {key: data.draw(JSON_VALUES | st.just(default_params(kind)[key])) for key in keys}
+    try:
+        ExperimentConfig(kind, params)
+    except ValueError:
+        pass
 
 
 TINY_ALIGNED = {"kind": "aligned-run", "name": "tiny", "nx": 17, "ny": 17,
@@ -234,6 +278,26 @@ def test_run_experiment_numerical_failure(tmp_path, capsys):
     assert run_experiment(cfg, str(tmp_path / "out")) == 2
     assert "numerical failure in tiny: step 1:" in capsys.readouterr().err
     # neither the experiment's directory nor its partial one is left behind
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_os_error_in_an_experiment_exits_2(tmp_path, capsys):
+    # a regular file where the experiment's directory goes fails the rename
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "stab").write_text("not a directory\n")
+    entry = {"kind": "stability-scan", "name": "stab", "n": 8, "alpha_list": [0.9]}
+    assert run_experiment(write_config(tmp_path, entry), str(out)) == 2
+    assert "OS error in stab:" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["stab"]
+    assert (out / "stab").read_text() == "not a directory\n"
+
+
+def test_memory_error_in_an_experiment_exits_2(tmp_path, capsys):
+    # 10**15 nodes ask for 7 PiB at once; the allocation fails without using memory
+    entry = {"kind": "aligned-run", "name": "big", "nx": 10 ** 15, "ny": 5, "nt": 3}
+    assert run_experiment(write_config(tmp_path, entry), str(tmp_path / "out")) == 2
+    assert "out of memory in big:" in capsys.readouterr().err
     assert list((tmp_path / "out").iterdir()) == []
 
 

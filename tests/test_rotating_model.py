@@ -118,8 +118,6 @@ def test_circle_average_gaussian_interpolation_error(n, bound):
 def test_circle_average_validation():
     g = make_grid2d(-3, 3, -3, 3, 20, 20)
     f = sample(g, ic_gaussian)
-    with pytest.raises(ValueError, match="n_quad"):
-        circle_average(f, 1.0, n_quad=7)
     with pytest.raises(ValueError, match="radius"):
         circle_average(f, -0.5)
     with pytest.raises(ValueError, match="outside"):

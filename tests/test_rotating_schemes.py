@@ -12,7 +12,6 @@ from aplab.rotating_schemes import (
     LagrangeRotatingStepper,
     RotatingScheme,
     RotatingSchemeConfig,
-    UpwindSplit,
     assemble_imp,
     assemble_lagrange_rot,
     run_rotating,
@@ -39,18 +38,6 @@ def test_config_validation():
     assert cfg.scheme is RotatingScheme.LAGRANGE
     assert cfg.r_x == pytest.approx(0.2 / GRID40.dx)
     assert cfg.r_y == pytest.approx(0.2 / GRID40.dy)
-
-
-def test_upwind_split_from_grid():
-    s = UpwindSplit.from_grid(GRID40)
-    x = GRID40.x_nodes()
-    assert np.array_equal(s.xp_i + s.xm_i, x)
-    assert np.all(s.xp_i >= 0.0) and np.all(s.xm_i <= 0.0)
-    assert np.all((s.xp_i == 0.0) | (s.xm_i == 0.0))
-    with pytest.raises(ValueError, match="positive"):
-        UpwindSplit([-1.0], [0.0], [0.0], [0.0])
-    with pytest.raises(ValueError, match="negative"):
-        UpwindSplit([1.0], [0.5], [0.0], [0.0])
 
 
 def test_upwind_annihilates_constants():
