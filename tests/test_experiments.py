@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import re
 
 import numpy as np
@@ -174,6 +175,51 @@ def test_non_finite_numbers_are_config_errors(kind, key):
     for value in (float("inf"), float("-inf"), float("nan")):
         with pytest.raises(ValueError, match=f"'{key}'"):
             ExperimentConfig(kind, {key: value})
+
+
+def _boundaries():
+    """(kind, key, last rejected value, first accepted value, other keys) of
+    every bounded key, each set over the kind's defaults and the other keys."""
+    rows = []
+    for kind in EXPERIMENT_KINDS:
+        d = default_params(kind)
+        for key in d:
+            # modes must satisfy 2|k| < n
+            others = {"modes": [0]} if key == "n" and "modes" in d else {}
+            if key in ("nx", "ny", "nt", "n", "rot_n"):
+                rows.append((kind, key, 2, 3, others))
+            elif key in ("t_end", "dt", "rot_dt", "beta", "b", "alpha", "eps"):
+                rows.append((kind, key, 0.0, 5e-324, others))
+            elif key == "a":
+                rows.append((kind, key, -5e-324, 0.0, others))
+            elif key in ("x_max", "y_max"):
+                low = d[key[0] + "_min"]
+                rows.append((kind, key, low, math.nextafter(low, math.inf), others))
+    return rows + [(*row, {}) for row in [
+        # integers take part as floats, so their magnitude stops at 2**53
+        ("aligned-run", "nx", 2 ** 53 + 1, 2 ** 53),
+        ("aligned-run", "eps_list", [-5e-324], [0.0]),
+        ("point-trace", "eps_list", [1.0, -5e-324], [1.0, 0.0]),
+        ("amplification-check", "eps_list", [-5e-324], [0.0]),
+        # the fully implicit default scheme and the exact solution need eps > 0
+        ("rotating-run", "eps_list", [0.0], [5e-324]),
+        ("eps-sweep", "eps_list", [0.0], [5e-324]),
+        ("convergence", "n_list", [2, 17, 33], [3, 17, 33]),
+        ("stability-scan", "alpha_list", [0.0], [5e-324]),
+        ("amplification-check", "modes", [0, 32], [0, 31]),
+        ("amplification-check", "modes", [-32], [-31]),
+        ("point-trace", "point", [-1, 0], [0, 0]),
+        ("point-trace", "point", [0, -1], [0, 0]),
+        ("point-trace", "point", [2, 0], [1, 0]),
+        ("point-trace", "point", [0, 200], [0, 199]),
+    ]]
+
+
+@pytest.mark.parametrize("kind,key,rejected,accepted,others", _boundaries())
+def test_config_bounds(kind, key, rejected, accepted, others):
+    with pytest.raises(ValueError, match=f"'{key}'"):
+        ExperimentConfig(kind, {**others, key: rejected})
+    assert ExperimentConfig(kind, {**others, key: accepted}).params[key] == accepted
 
 
 JSON_LEAVES = (st.none() | st.booleans() | st.text(max_size=4)
