@@ -10,16 +10,15 @@ from .linalg import (ConvergenceError, CyclicTridiag, SingularMatrixError,
                      SolveStats, assemble, cond2, dft_y, dft_wavenumbers,
                      idft_y, solve_cyclic)
 from .aligned import AlignedModel, exact_aligned, ic_two_mode, limit_aligned, y_average
-from .aligned_schemes import (AlignedScheme, AlignedSchemeConfig, LagrangeState,
-                              MicroMacroState, run_aligned, upwind_x)
+from .aligned_schemes import (AlignedScheme, AlignedSchemeConfig, MicroMacroState,
+                              run_aligned, upwind_x)
 from .rotating import (RotatingModel, circle_average, exact_rotating,
                        ic_gaussian, rotate)
 from .rotating_schemes import (RotatingScheme, RotatingSchemeConfig, assemble_imp,
-                               assemble_lagrange_rot, run_rotating,
-                               upwind_rotation_apply, upwind_rotation_matrix)
+                               assemble_lagrange_rot, run_rotating, upwind_rotation_matrix)
 from .analysis import (cond_sweep, error_eta, error_gamma, fit_loglog_slope,
                        measure_xi, xi_imex)
-from .results import RunResult, StepRecord
+from .results import RunResult
 from .experiments import ExperimentConfig, run_experiment
 
 __all__ = [
@@ -30,14 +29,14 @@ __all__ = [
     "SingularMatrixError", "ConvergenceError",
     "AlignedModel", "exact_aligned", "y_average", "limit_aligned",
     "ic_two_mode",
-    "AlignedScheme", "AlignedSchemeConfig", "MicroMacroState", "LagrangeState",
+    "AlignedScheme", "AlignedSchemeConfig", "MicroMacroState",
     "run_aligned", "upwind_x",
     "RotatingModel", "rotate", "exact_rotating", "circle_average", "ic_gaussian",
     "RotatingScheme", "RotatingSchemeConfig",
-    "upwind_rotation_apply", "upwind_rotation_matrix", "assemble_imp",
+    "upwind_rotation_matrix", "assemble_imp",
     "assemble_lagrange_rot", "run_rotating",
     "error_eta", "error_gamma",
     "fit_loglog_slope", "xi_imex", "measure_xi", "cond_sweep",
-    "RunResult", "StepRecord",
+    "RunResult",
     "ExperimentConfig", "run_experiment",
 ]

@@ -21,7 +21,7 @@ from .linalg import (CyclicTridiag, SolveStats, SparseFactor, assemble,
 from .results import RunResult, run_steps
 
 __all__ = [
-    "AlignedScheme", "AlignedSchemeConfig", "MicroMacroState", "LagrangeState",
+    "AlignedScheme", "AlignedSchemeConfig", "MicroMacroState",
     "run_aligned", "upwind_x", "aligned_lagrange_matrix",
 ]
 
@@ -98,29 +98,6 @@ class MicroMacroState:
     def mass(self) -> float:
         ny1 = self.h.grid.ny - 1
         return float(ny1 * self.H.sum() + self.h.values.sum())
-
-
-@dataclass(frozen=True)
-class LagrangeState:
-    """Transported field plus the multiplier field of the reformulation."""
-
-    f: Field2D
-    q: Field2D
-
-    def __post_init__(self) -> None:
-        if self.f.grid != self.q.grid:
-            raise ValueError("field and multiplier live on different grids")
-
-    @classmethod
-    def from_field(cls, f: Field2D) -> "LagrangeState":
-        return cls(f, f.with_values(np.zeros_like(f.values)))
-
-    @property
-    def field(self) -> Field2D:
-        return self.f
-
-    def mass(self) -> float:
-        return float(self.f.values.sum())
 
 
 def upwind_x(values: np.ndarray, alpha: float) -> np.ndarray:
@@ -230,7 +207,7 @@ def aligned_lagrange_matrix(m: int, beta: float, eps: float):
 
 
 class LagrangeAlignedStepper:
-    initial = LagrangeState.from_field
+    initial = staticmethod(_plain)
 
     def __init__(self, cfg: AlignedSchemeConfig):
         self.cfg = cfg
@@ -238,17 +215,14 @@ class LagrangeAlignedStepper:
         self.m = m
         self.factor = SparseFactor(aligned_lagrange_matrix(m, cfg.beta, cfg.model.eps))
 
-    def step(self, s: LagrangeState) -> tuple[LagrangeState, SolveStats]:
+    def step(self, f: Field2D) -> tuple[Field2D, SolveStats]:
         cfg = self.cfg
         m = self.m
-        ncols = cfg.grid.nx - 1
-        rhs = np.zeros((2 * m, ncols))
-        rhs[:m] = upwind_x(s.f.values, cfg.alpha).T
+        rhs = np.zeros((2 * m, cfg.grid.nx - 1))
+        rhs[:m] = upwind_x(f.values, cfg.alpha).T
         sol, stats = self.factor.solve(rhs)
-        f_vals = sol[:m].T
-        q_vals = sol[m:].T.copy()
-        q_vals[:, 0] = 0.0
-        return LagrangeState(s.f.with_values(f_vals), s.q.with_values(q_vals)), stats
+        # the multiplier half sol[m:] is not carried to the next step
+        return f.with_values(sol[:m].T), stats
 
 
 _STEPPERS = {

@@ -54,7 +54,8 @@ def _fit_window(log_h: np.ndarray, log_e: np.ndarray) -> tuple[float, float]:
 def fit_loglog_slope(step_sizes, errors) -> tuple[float, tuple[int, int]]:
     """Fit log(error) against log(step size); returns (slope, (start, stop)).
 
-    Step sizes must be strictly decreasing and errors positive and finite.
+    Step sizes must be strictly decreasing, and both step sizes and errors
+    positive and finite.
     When the full-range fit has a relative residual above 5%, the head and
     tail are trimmed: the longest contiguous window (>= 3 points) whose fit
     passes the threshold is retained. If no window passes, the best window
@@ -67,8 +68,10 @@ def fit_loglog_slope(step_sizes, errors) -> tuple[float, tuple[int, int]]:
         raise ValueError("step_sizes and errors must be 1-d and equally long")
     if np.any(np.diff(step_sizes) >= 0.0):
         raise ValueError("step_sizes must be strictly decreasing")
-    if not np.all(errors > 0.0) or not np.all(np.isfinite(errors)):
-        raise ValueError("errors must be positive and finite")
+    for name, values in (("step_sizes", step_sizes), ("errors", errors)):
+        # checked before the logarithms, which would hand -inf or NaN to polyfit
+        if not np.all((values > 0.0) & np.isfinite(values)):
+            raise ValueError(f"{name} must be positive and finite")
     n = step_sizes.size
     if n < 3:
         raise ValueError(f"slope fit needs >= 3 points, got {n}")

@@ -18,6 +18,7 @@ import shutil
 import sys
 import time as _time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -116,20 +117,49 @@ def default_params(kind: str) -> dict:
     return json.loads(json.dumps(_DEFAULTS[kind]))
 
 
-# list keys whose entries must be finite numbers, and whether integers
-_NUMBER_LISTS = {"eps_list": False, "n_list": True, "alpha_list": False, "modes": True,
-                 "point": True}
+@dataclass(frozen=True)
+class _Number:
+    """A finite number, of integer value if ``integer``, and >= ``low`` (> if
+    ``strict``). An int is finite up to 2**53: numpy takes none beyond 64 bits."""
+
+    integer: bool = False
+    low: float | None = None
+    strict: bool = False
+
+    def admits(self, value) -> bool:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return False
+        finite = (abs(value) <= 2 ** 53 if isinstance(value, int) else
+                  math.isfinite(value) and (value.is_integer() or not self.integer))
+        return finite and (self.low is None or value > self.low
+                           or (value == self.low and not self.strict))
+
+    def __str__(self) -> str:
+        bound = "" if self.low is None else f" {'>' if self.strict else '>='} {self.low:g}"
+        return f"an integer{bound}" if self.integer else f"finite{' and' if bound else ''}{bound}"
 
 
-def _is_number(value, integer: bool = False) -> bool:
-    """A finite float, or an int of magnitude <= 2**53, not a bool; with
-    ``integer``, of integer value. numpy takes no Python int beyond 64 bits."""
-    if isinstance(value, bool):
-        return False
-    if isinstance(value, int):
-        return abs(value) <= 2 ** 53
-    return (isinstance(value, float) and math.isfinite(value)
-            and (not integer or value.is_integer()))
+_INT3 = _Number(integer=True, low=3)
+_POSITIVE = _Number(low=0.0, strict=True)
+_FINITE = _Number()
+
+# the admissible values of each key on its own: a tuple of choices, or the
+# rule of a number and of every entry of a list of numbers
+_RULES = {
+    "nx": _INT3, "ny": _INT3, "nt": _INT3, "n": _INT3, "rot_n": _INT3,
+    "t_end": _POSITIVE, "dt": _POSITIVE, "rot_dt": _POSITIVE, "beta": _POSITIVE,
+    "b": _POSITIVE, "alpha": _POSITIVE,
+    "a": _Number(low=0.0),
+    "gamma": _FINITE, "x_min": _FINITE, "x_max": _FINITE, "y_min": _FINITE, "y_max": _FINITE,
+    "ic": tuple(INITIAL_CONDITIONS),
+    "eps_list": _Number(low=0.0), "n_list": _INT3, "alpha_list": _POSITIVE,
+    "modes": _Number(integer=True), "point": _Number(integer=True, low=0),
+    "eps": _POSITIVE, "vary": ("dx", "dy", "dt"), "toy": (1, 2),
+}
+
+# the type of a value follows the type of its default
+_TYPES = {int: ("a number", (int, float)), float: ("a number", (int, float)),
+          str: ("a string", str), list: ("a list", list)}
 
 
 class ExperimentConfig:
@@ -143,15 +173,11 @@ class ExperimentConfig:
         for key, value in params.items():
             if key not in defaults:
                 raise ValueError(f"unknown key '{key}' for kind '{kind}'")
-            base = defaults[key]
-            if isinstance(base, bool) or isinstance(value, bool):
+            if isinstance(value, bool):
                 raise ValueError(f"key '{key}': booleans are not used")
-            if isinstance(base, (int, float)) and not isinstance(value, (int, float)):
-                raise ValueError(f"key '{key}': expected a number")
-            if isinstance(base, str) and not isinstance(value, str):
-                raise ValueError(f"key '{key}': expected a string")
-            if isinstance(base, list) and not isinstance(value, list):
-                raise ValueError(f"key '{key}': expected a list")
+            what, types = _TYPES[type(defaults[key])]
+            if not isinstance(value, types):
+                raise ValueError(f"key '{key}': expected {what}")
             merged[key] = value
         self.kind = kind
         self.params = merged
@@ -160,70 +186,44 @@ class ExperimentConfig:
 
     def _check(self) -> None:
         p = self.params
-        for key in ("nx", "ny", "nt", "n", "rot_n"):
-            if key in p and not (_is_number(p[key], integer=True) and p[key] >= 3):
-                raise ValueError(f"key '{key}': must be an integer >= 3")
-        for key in ("t_end", "dt", "rot_dt", "beta", "b", "alpha"):
-            if key in p and not (_is_number(p[key]) and p[key] > 0.0):
-                raise ValueError(f"key '{key}': must be finite and > 0")
-        if "a" in p and not (_is_number(p["a"]) and p["a"] >= 0.0):
-            raise ValueError("key 'a': must be finite and >= 0")
-        for key in ("gamma", "x_min", "x_max", "y_min", "y_max"):
-            if key in p and not _is_number(p[key]):
-                raise ValueError(f"key '{key}': must be finite")
+        for key, value in ((k, p[k]) for k in _RULES if k in p):
+            rule, listed = _RULES[key], isinstance(value, list)
+            if isinstance(rule, tuple) and value not in rule:
+                raise ValueError(f"key '{key}': must be one of "
+                                 f"{', '.join(map(str, rule))}, got {value!r}")
+            entries = value if listed else [value]
+            if isinstance(rule, _Number) and not all(map(rule.admits, entries)):
+                raise ValueError(f"key '{key}': {'every entry ' if listed else ''}must be {rule}")
+        # rules over more than one key
         for lo, hi in (("x_min", "x_max"), ("y_min", "y_max")):
             if lo in p and not p[hi] > p[lo]:
                 raise ValueError(f"key '{hi}': must be > {lo}")
-        if "ic" in p and p["ic"] not in INITIAL_CONDITIONS:
-            raise ValueError(f"key 'ic': unknown initial condition '{p['ic']}'")
         if "schemes" in p:
             known = [k.value for k in
                      (RotatingScheme if self.kind == "rotating-run" else AlignedScheme)]
-            if not p["schemes"] or any(s not in known for s in p["schemes"]):
+            if any(s not in known for s in p["schemes"]):
                 raise ValueError(f"key 'schemes': must be a non-empty list of "
                                  f"{', '.join(known)}, got {p['schemes']}")
-        for key, integer in _NUMBER_LISTS.items():
-            if key in p and not all(_is_number(v, integer) for v in p[key]):
-                what = "integers" if integer else "numbers"
-                raise ValueError(f"key '{key}': entries must be finite {what}, got {p[key]}")
-        if "eps_list" in p:
-            if not p["eps_list"] or any(e < 0.0 for e in p["eps_list"]):
-                raise ValueError("key 'eps_list': entries must be >= 0")
-        if "n_list" in p and any(n < 3 for n in p["n_list"]):
-            raise ValueError("key 'n_list': entries must be >= 3")
-        if "alpha_list" in p and any(a <= 0.0 for a in p["alpha_list"]):
-            raise ValueError("key 'alpha_list': entries must be > 0")
-        if "modes" in p and any(2 * abs(k) >= p["n"] for k in p["modes"]):
-            raise ValueError(f"key 'modes': entries k must satisfy 2|k| < n = {p['n']}")
-        # convergence compares against the exact solution and stability-scan
-        # steps IMEX, whose column system is singular at eps = 0
-        if "eps" in p and not (_is_number(p["eps"]) and p["eps"] > 0.0):
-            raise ValueError(f"key 'eps': must be finite and > 0, got {p['eps']}")
-        for key in ("schemes", "eps_list", "n_list"):
-            # repeated entries would write the same output files twice or
-            # repeat a step size in a slope fit
+        # a slope fit needs three points and a run with no fit one; repeated
+        # entries would write the same files twice or repeat a step size in a fit
+        fits = self.kind == "convergence" and any(_fits_slope(p["vary"], s) for s in p["schemes"])
+        least = {"schemes": 1, "eps_list": 3 if self.kind == "cond-sweep" else 1,
+                 "n_list": 3 if fits else 1}
+        for key, count in least.items():
+            if key in p and len(p[key]) < count:
+                raise ValueError(f"key '{key}': needs {count} or more entries")
             if key in p and len(set(p[key])) != len(p[key]):
                 raise ValueError(f"key '{key}': entries must be distinct")
-        if self.kind == "rotating-run" and "imp" in p["schemes"] and 0.0 in p["eps_list"]:
+        if "point" in p and (len(p["point"]) != 2 or p["point"][0] >= p["nx"] - 1
+                             or p["point"][1] >= p["ny"] - 1):
+            raise ValueError("key 'point': expected two node indices i < nx - 1, j < ny - 1")
+        if "modes" in p and any(2 * abs(k) >= p["n"] for k in p["modes"]):
+            raise ValueError(f"key 'modes': entries k must satisfy 2|k| < n = {p['n']}")
+        if 0.0 in p.get("eps_list", ()) and "imp" in p.get("schemes", ()):
             raise ValueError("key 'eps_list': the fully implicit scheme 'imp' needs eps > 0")
-        if self.kind == "eps-sweep" and 0.0 in p["eps_list"]:
-            raise ValueError("key 'eps_list': the exact solution eps-sweep compares "
-                             "against needs eps > 0")
-        if "vary" in p and p["vary"] not in ("dx", "dy", "dt"):
-            raise ValueError(f"key 'vary': must be dx, dy or dt, got '{p['vary']}'")
-        if self.kind == "convergence":
-            # a slope fit needs three points; a run with no fit needs one
-            least = 3 if any(_fits_slope(p["vary"], s) for s in p["schemes"]) else 1
-            if len(p["n_list"]) < least:
-                raise ValueError(f"key 'n_list': needs at least {least} entries")
-        if "toy" in p and p["toy"] not in (1, 2):
-            raise ValueError(f"key 'toy': must be 1 or 2, got {p['toy']}")
-        if self.kind == "point-trace":
-            point = p["point"]
-            if len(point) != 2 or any(c < 0 for c in point):
-                raise ValueError("key 'point': expected two node indices >= 0")
-            if point[0] >= p["nx"] - 1 or point[1] >= p["ny"] - 1:
-                raise ValueError("key 'point': indices outside the stored nodes")
+        if 0.0 in p.get("eps_list", ()) and self.kind in ("eps-sweep", "cond-sweep"):
+            # the exact solution and the slope fit over log(eps) need eps > 0
+            raise ValueError(f"key 'eps_list': {self.kind} needs eps > 0")
 
 
 def load_configs(config_path: str) -> list:

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 from .grid import Field2D, sample
 
-__all__ = ["StepRecord", "RunResult", "run_steps"]
+__all__ = ["RunResult", "run_steps"]
 
 
 @dataclass

@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 import scipy.sparse as sp
 
-from .aligned_schemes import LagrangeState, _plain
+from .aligned_schemes import _plain
 from .grid import Field2D, Grid2D
 from .linalg import SolveStats, SparseFactor, assemble
 from .results import RunResult, run_steps
@@ -23,7 +23,7 @@ from .rotating import RotatingModel
 
 __all__ = [
     "RotatingScheme", "RotatingSchemeConfig",
-    "upwind_rotation_apply", "upwind_rotation_matrix", "assemble_imp",
+    "upwind_rotation_matrix", "assemble_imp",
     "assemble_lagrange_rot", "run_rotating",
 ]
 
@@ -62,31 +62,14 @@ class RotatingSchemeConfig:
         return self.dt / self.grid.dy
 
 
-def upwind_rotation_apply(g: Field2D) -> Field2D:
-    """Apply the upwind discretization of y*d/dx - x*d/dy to a field.
-
-    Matrix-free form of ``upwind_rotation_matrix``; constants are
-    annihilated exactly because all neighbor differences vanish.
-    """
-    gr = g.grid
-    x = gr.x_nodes()[:, None]
-    y = gr.y_nodes()[None, :]
-    V = g.values
-    bdx = V - np.roll(V, 1, axis=0)
-    fdx = np.roll(V, -1, axis=0) - V
-    bdy = V - np.roll(V, 1, axis=1)
-    fdy = np.roll(V, -1, axis=1) - V
-    out = ((np.maximum(y, 0.0) * bdx + np.minimum(y, 0.0) * fdx) / gr.dx
-           - (np.maximum(x, 0.0) * fdy + np.minimum(x, 0.0) * bdy) / gr.dy)
-    return g.with_values(out)
-
-
 @functools.lru_cache(maxsize=16)
 def upwind_rotation_matrix(grid: Grid2D) -> sp.csr_matrix:
-    """The operator of ``upwind_rotation_apply`` as a sparse matrix.
+    """Upwind discretization of y*d/dx - x*d/dy as a sparse matrix.
 
     Unknown (i, j) sits at flat index i*(ny-1) + j; five-point pattern
-    with periodic wrap. Every off-diagonal coefficient is paired with an
+    with periodic wrap: a backward difference in x where y > 0, a forward
+    one where y < 0, and a forward (backward) difference in y where x > 0
+    (x < 0). Every off-diagonal coefficient is paired with an
     equal-magnitude diagonal contribution in the same column, so column
     sums (and the mass change per application) vanish to roundoff.
     """
@@ -156,21 +139,20 @@ class ImpStepper:
 
 
 class LagrangeRotatingStepper:
-    initial = LagrangeState.from_field
+    initial = staticmethod(_plain)
 
     def __init__(self, cfg: RotatingSchemeConfig):
         self.cfg = cfg
         self.factor = SparseFactor(
             assemble_lagrange_rot(cfg.grid, cfg.model.eps, cfg.dt, cfg.gamma))
 
-    def step(self, s: LagrangeState) -> tuple[LagrangeState, SolveStats]:
-        shape = s.f.values.shape
-        M = shape[0] * shape[1]
+    def step(self, f: Field2D) -> tuple[Field2D, SolveStats]:
+        M = f.values.size
         rhs = np.zeros(2 * M)
-        rhs[:M] = s.f.values.ravel()
+        rhs[:M] = f.values.ravel()
         sol, stats = self.factor.solve(rhs)
-        return (LagrangeState(s.f.with_values(sol[:M].reshape(shape)),
-                              s.q.with_values(sol[M:].reshape(shape))), stats)
+        # the multiplier half sol[M:] is not carried to the next step
+        return f.with_values(sol[:M].reshape(f.values.shape)), stats
 
 
 _STEPPERS = {

@@ -8,14 +8,14 @@ from aplab.aligned_schemes import (
     FourierStepper,
     ImexStepper,
     LagrangeAlignedStepper,
-    LagrangeState,
     MicroMacroState,
     MicroMacroStepper,
+    aligned_lagrange_matrix,
     run_aligned,
     upwind_x,
 )
 from aplab.grid import make_grid2d, sample
-from aplab.linalg import SingularMatrixError, dft_wavenumbers, dft_y
+from aplab.linalg import SingularMatrixError, SparseFactor, dft_wavenumbers, dft_y
 
 
 def make_cfg(scheme, eps, a=0.1, b=1.0, dt=0.01, nx=33, ny=33, f_in=ic_two_mode):
@@ -228,51 +228,44 @@ def test_micromacro_mean_invariant_after_steps():
     assert np.max(np.abs(s.h.values.mean(axis=1))) <= 1e-12
 
 
-def test_lagrange_state_grid_mismatch():
-    g1 = make_grid2d(0.0, 2.0 * np.pi, 0.0, 2.0 * np.pi, 9, 9)
-    g2 = make_grid2d(0.0, 2.0 * np.pi, 0.0, 2.0 * np.pi, 9, 17)
-    with pytest.raises(ValueError):
-        LagrangeState(sample(g1, ic_two_mode), sample(g2, ic_two_mode))
-
-
 def test_lagrange_constants_fixed():
     cfg = make_cfg(AlignedScheme.LAGRANGE, 0.5, f_in=lambda x, y: 3.0 + 0.0 * x)
-    s0 = LagrangeState.from_field(sample(cfg.grid, cfg.model.f_in))
-    s1 = LagrangeAlignedStepper(cfg).step(s0)[0]
-    assert np.max(np.abs(s1.f.values - 3.0)) <= 1e-12
-    assert np.max(np.abs(s1.q.values)) <= 1e-12
+    f1 = LagrangeAlignedStepper(cfg).step(sample(cfg.grid, cfg.model.f_in))[0]
+    assert np.max(np.abs(f1.values - 3.0)) <= 1e-12
+
+
+def test_lagrange_multiplier_vanishes_on_constants():
+    # the stepper keeps only the field half of the column solve
+    m = 32
+    rhs = np.concatenate([np.full(m, 3.0), np.zeros(m)])
+    sol = SparseFactor(aligned_lagrange_matrix(m, 0.3, 0.5)).solve(rhs)[0]
+    assert np.max(np.abs(sol[:m] - 3.0)) <= 1e-12
+    assert np.max(np.abs(sol[m:])) <= 1e-12
 
 
 def test_lagrange_matches_imex():
     cfg = make_cfg(AlignedScheme.LAGRANGE, 1e-2, nx=65, ny=65)
     f0 = sample(cfg.grid, ic_two_mode)
-    s1 = LagrangeAlignedStepper(cfg).step(LagrangeState.from_field(f0))[0]
+    s1 = LagrangeAlignedStepper(cfg).step(f0)[0]
     f1 = ImexStepper(make_cfg(AlignedScheme.IMEX, 1e-2, nx=65, ny=65)).step(f0)[0]
-    assert np.max(np.abs(s1.f.values - f1.values)) <= 1e-10
+    assert np.max(np.abs(s1.values - f1.values)) <= 1e-10
 
 
 def test_lagrange_eps_zero_projects_columns():
     cfg = make_cfg(AlignedScheme.LAGRANGE, 0.0, a=0.0)
     f0 = sample(cfg.grid, ic_two_mode)
-    s1 = LagrangeAlignedStepper(cfg).step(LagrangeState.from_field(f0))[0]
+    s1 = LagrangeAlignedStepper(cfg).step(f0)[0]
     col_means = f0.values.mean(axis=1)
-    assert np.max(np.abs(s1.f.values - col_means[:, None])) <= 1e-10
-
-
-def test_lagrange_multiplier_pinned():
-    cfg = make_cfg(AlignedScheme.LAGRANGE, 1e-3)
-    s0 = LagrangeState.from_field(sample(cfg.grid, ic_two_mode))
-    s1 = LagrangeAlignedStepper(cfg).step(s0)[0]
-    assert np.all(s1.q.values[:, 0] == 0.0)
+    assert np.max(np.abs(s1.values - col_means[:, None])) <= 1e-10
 
 
 def test_lagrange_mass_conserved():
     for eps in (1.0, 1e-4, 0.0):
         cfg = make_cfg(AlignedScheme.LAGRANGE, eps)
         f0 = sample(cfg.grid, ic_two_mode)
-        s1 = LagrangeAlignedStepper(cfg).step(LagrangeState.from_field(f0))[0]
+        s1 = LagrangeAlignedStepper(cfg).step(f0)[0]
         scale = max(1.0, abs(f0.values.sum()))
-        assert abs(s1.f.values.sum() - f0.values.sum()) <= 1e-12 * scale
+        assert abs(s1.values.sum() - f0.values.sum()) <= 1e-12 * scale
 
 
 def test_run_zero_steps():

@@ -41,6 +41,9 @@ def test_convergence_table_validation():
         fit_loglog_slope([1.0, 0.5, 0.25], [1.0, np.inf, 1.0])
     with pytest.raises(ValueError, match="finite"):
         fit_loglog_slope([1.0, 0.5, 0.25], [1.0, np.nan, 1.0])
+    for steps in ([1.0, 0.5, 0.0], [np.inf, 1.0, 0.5], [1.0, 0.5, -0.5], [np.nan, 1.0, 0.5]):
+        with pytest.raises(ValueError, match="step_sizes must be positive and finite"):
+            fit_loglog_slope(steps, [1.0, 0.5, 0.25])
     with pytest.raises(ValueError, match="1-d"):
         fit_loglog_slope([1.0, 0.5], [1.0, 0.5, 0.25])
     with pytest.raises(ValueError, match="1-d"):

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,7 +68,7 @@ def test_config_value_checks():
         ExperimentConfig("aligned-run", {"nx": 2})
     with pytest.raises(ValueError, match="'t_end'"):
         ExperimentConfig("aligned-run", {"t_end": 0.0})
-    with pytest.raises(ValueError, match="unknown initial condition"):
+    with pytest.raises(ValueError, match="'ic': must be one of"):
         ExperimentConfig("aligned-run", {"ic": "spiral"})
     with pytest.raises(ValueError, match="'schemes'"):
         ExperimentConfig("aligned-run", {"schemes": []})
@@ -157,6 +158,9 @@ def test_load_configs_rejects_bad_names(tmp_path, capsys, names):
     {"kind": "aligned-run", "a": 10 ** 300},
     {"kind": "rotating-run", "t_end": 10 ** 400},
     {"kind": "aligned-run", "nx": 10 ** 31},
+    # the slope fit over eps needs three or more points, each at eps > 0
+    {"kind": "cond-sweep", "eps_list": [1e-3, 1e-4]},
+    {"kind": "cond-sweep", "toy": 2, "rot_n": 8, "eps_list": [1e-2, 1e-3, 0]},
 ])
 def test_scheme_errors_are_config_errors(tmp_path, capsys, entry):
     # caught before any compute starts: exit 1, no output directory
@@ -204,6 +208,8 @@ def _boundaries():
         # the fully implicit default scheme and the exact solution need eps > 0
         ("rotating-run", "eps_list", [0.0], [5e-324]),
         ("eps-sweep", "eps_list", [0.0], [5e-324]),
+        # a log-log slope fit over three or more condition numbers
+        ("cond-sweep", "eps_list", [1e-2, 1e-3, 0.0], [1e-2, 1e-3, 5e-324]),
         ("convergence", "n_list", [2, 17, 33], [3, 17, 33]),
         ("stability-scan", "alpha_list", [0.0], [5e-324]),
         ("amplification-check", "modes", [0, 32], [0, 31]),
@@ -220,6 +226,24 @@ def test_config_bounds(kind, key, rejected, accepted, others):
     with pytest.raises(ValueError, match=f"'{key}'"):
         ExperimentConfig(kind, {**others, key: rejected})
     assert ExperimentConfig(kind, {**others, key: accepted}).params[key] == accepted
+
+
+def test_every_config_key_has_a_rule():
+    # schemes has none of its own: its names depend on the kind
+    for kind in EXPERIMENT_KINDS:
+        assert set(default_params(kind)) - set(experiments._RULES) <= {"schemes"}, kind
+
+
+def test_readme_lists_every_config_key_of_every_kind():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Config keys\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \|", section, re.M)
+    expected = {}
+    for kind in EXPERIMENT_KINDS:
+        for key in default_params(kind):
+            expected.setdefault(key, set()).add(kind)
+    assert {key: set(kinds.split(", ")) for key, kinds in rows} == expected
+    assert len(rows) == len(expected)
 
 
 JSON_LEAVES = (st.none() | st.booleans() | st.text(max_size=4)
