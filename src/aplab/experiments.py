@@ -154,10 +154,10 @@ _RULES = {
     "ic": tuple(INITIAL_CONDITIONS),
     "eps_list": _Number(low=0.0), "n_list": _INT3, "alpha_list": _POSITIVE,
     "modes": _Number(integer=True), "point": _Number(integer=True, low=0),
+    # convergence needs the exact solution, stability-scan a regular IMEX solve
     "eps": _POSITIVE, "vary": ("dx", "dy", "dt"), "toy": (1, 2),
 }
 
-# the type of a value follows the type of its default
 _TYPES = {int: ("a number", (int, float)), float: ("a number", (int, float)),
           str: ("a string", str), list: ("a list", list)}
 
