@@ -7,8 +7,7 @@ __version__ = "0.1.0"
 
 from .grid import Field2D, Grid2D, make_grid2d, sample
 from .linalg import (ConvergenceError, CyclicTridiag, SingularMatrixError,
-                     SolveStats, assemble, cond2, dft_y, dft_wavenumbers,
-                     idft_y, solve_cyclic)
+                     SolveStats, assemble, cond2, solve_cyclic)
 from .aligned import AlignedModel, exact_aligned, ic_two_mode, limit_aligned, y_average
 from .aligned_schemes import (AlignedScheme, AlignedSchemeConfig, MicroMacroState,
                               run_aligned, upwind_x)
@@ -25,7 +24,7 @@ __all__ = [
     "__version__",
     "Grid2D", "Field2D", "make_grid2d", "sample",
     "CyclicTridiag", "SolveStats", "solve_cyclic", "assemble",
-    "cond2", "dft_y", "idft_y", "dft_wavenumbers",
+    "cond2",
     "SingularMatrixError", "ConvergenceError",
     "AlignedModel", "exact_aligned", "y_average", "limit_aligned",
     "ic_two_mode",

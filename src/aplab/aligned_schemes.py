@@ -16,8 +16,7 @@ import numpy as np
 
 from .aligned import AlignedModel, y_average
 from .grid import Field2D, Grid2D
-from .linalg import (CyclicTridiag, SolveStats, SparseFactor, assemble,
-                     dft_wavenumbers, dft_y, idft_y, solve_cyclic)
+from .linalg import CyclicTridiag, SolveStats, SparseFactor, assemble, solve_cyclic
 from .results import RunResult, run_steps
 
 __all__ = [
@@ -146,20 +145,20 @@ class FourierStepper:
 
     def __init__(self, cfg: AlignedSchemeConfig):
         self.cfg = cfg
-        ks = dft_wavenumbers(cfg.grid.ny - 1)
-        omega_y = 2.0 * np.pi / cfg.grid.ly
+        self.m = cfg.grid.ny - 1
+        # the real FFT keeps k = 0 .. m//2; at even m irfft reads only the real
+        # part of the Nyquist bin, so it sees Re(xi) as the full FFT did
+        ks = np.arange(self.m // 2 + 1)
         eps = cfg.model.eps
         if eps > 0.0:
+            omega_y = 2.0 * np.pi / cfg.grid.ly
             self.factor = 1.0 / (1.0 + 1j * omega_y * ks * cfg.model.b * cfg.dt / eps)
         else:
-            self.factor = np.where(ks == 0, 1.0 + 0.0j, 0.0j)
+            self.factor = (ks == 0).astype(complex)
 
     def step(self, f: Field2D) -> tuple[Field2D, SolveStats]:
-        cfg = self.cfg
-        # dft_y transforms along axis 0, so y goes first for both transforms
-        coeffs = upwind_x(dft_y(f.values.T).T, cfg.alpha) * self.factor
-        vals = idft_y(coeffs.T).T.real
-        return f.with_values(vals), SolveStats(0.0, 0)
+        coeffs = upwind_x(np.fft.rfft(f.values, axis=1), self.cfg.alpha) * self.factor
+        return f.with_values(np.fft.irfft(coeffs, n=self.m, axis=1)), SolveStats(0.0, 0)
 
 
 class MicroMacroStepper:

@@ -245,8 +245,9 @@ def load_configs(config_path: str) -> list:
         name = entry.pop("name", None)
         if len(entries) > 1 and name is None:
             name = f"{kind}-{idx}"
-        if name is not None and (not isinstance(name, str) or name in ("", ".")
-                                 or any(c in name for c in ("/", "\\", ".."))):
+        # a leading dot could name another entry's ``.<name>.partial`` directory
+        if name is not None and (not isinstance(name, str) or not name or name.startswith(".")
+                                 or any(c in name for c in ("/", "\\", "..", "\0"))):
             raise ValueError(f"config entry {idx}: name {name!r} is not a plain directory name")
         configs.append(ExperimentConfig(kind, entry, name))
     names = [c.name for c in configs]

@@ -117,7 +117,7 @@ def test_load_configs(tmp_path):
 
 @pytest.mark.parametrize("names", [
     ["x", "x"], [None, "stability-scan-0"], ["a/b"], ["a\\b"], [".."], ["up..here"],
-    [""], ["."], [3],
+    [""], ["."], [3], [".a.partial", "a"], [".hidden"], ["a\u0000b"],
 ])
 def test_load_configs_rejects_bad_names(tmp_path, capsys, names):
     # a name is the output directory: it must be a plain name, once per batch

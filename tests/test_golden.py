@@ -9,7 +9,8 @@ An intended change of output bytes re-records the checksums with
 
     PYTHONPATH=src python tests/test_golden.py --record
 
-and says in the change log which outputs changed and why.
+which prints every key it changes, adds or removes; the change log says
+which outputs changed and why.
 """
 
 import hashlib
@@ -57,14 +58,16 @@ def checksums(work: Path) -> dict:
             for p in sorted(out.glob("*/*")) if p.name != "manifest.json"}
 
 
+def differences(want: dict, got: dict) -> dict:
+    """Keys whose checksum differs between ``want`` and ``got``, or that only one has."""
+    return {"changed": sorted(k for k in want.keys() & got.keys() if want[k] != got[k]),
+            "removed": sorted(want.keys() - got.keys()),
+            "added": sorted(got.keys() - want.keys())}
+
+
 def test_golden_checksums(tmp_path):
-    got = checksums(tmp_path)
-    want = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    changed = sorted(k for k in want.keys() & got.keys() if want[k] != got[k])
-    missing = sorted(want.keys() - got.keys())
-    extra = sorted(got.keys() - want.keys())
-    assert not (changed or missing or extra), (
-        f"changed: {changed}; missing: {missing}; unexpected: {extra}")
+    diff = differences(json.loads(GOLDEN.read_text(encoding="utf-8")), checksums(tmp_path))
+    assert not any(diff.values()), "; ".join(f"{k}: {v}" for k, v in diff.items())
 
 
 if __name__ == "__main__":
@@ -72,5 +75,9 @@ if __name__ == "__main__":
         sys.exit("usage: python tests/test_golden.py --record")
     with tempfile.TemporaryDirectory() as tmp:
         sums = checksums(Path(tmp))
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    for label, keys in differences(old, sums).items():
+        for key in keys:
+            print(f"{label}: {key}")
     GOLDEN.write_text(json.dumps(sums, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"recorded {len(sums)} checksums in {GOLDEN}")

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from aplab.linalg import (
     ConvergenceError,
@@ -10,9 +8,6 @@ from aplab.linalg import (
     SparseFactor,
     assemble,
     cond2,
-    dft_wavenumbers,
-    dft_y,
-    idft_y,
     solve_cyclic,
 )
 
@@ -192,53 +187,3 @@ def test_cond2_scale_invariance():
 def test_cond2_rejects_rectangular():
     with pytest.raises(ValueError):
         cond2(assemble(2, 3, [0], [0], [1.0]))
-
-
-def test_dft_wavenumbers():
-    assert np.array_equal(dft_wavenumbers(8), np.arange(-4, 4))
-    assert np.array_equal(dft_wavenumbers(5), np.arange(-2, 3))
-
-
-def test_dft_constant():
-    c = 3.25
-    coeffs = dft_y(np.full(8, c))
-    ks = dft_wavenumbers(8)
-    assert coeffs[ks == 0][0] == pytest.approx(c, abs=1e-13)
-    assert np.max(np.abs(coeffs[ks != 0])) <= 1e-13
-
-
-def test_dft_two_mode_profile():
-    m = 8
-    y = 2.0 * np.pi * np.arange(m) / m
-    coeffs = dft_y(np.cos(2.0 * y) + 1.0)
-    ks = dft_wavenumbers(m)
-    for k, expected in [(-2, 0.5), (0, 1.0), (2, 0.5)]:
-        assert abs(coeffs[ks == k][0] - expected) <= 1e-12
-    others = np.abs(coeffs[(ks != -2) & (ks != 0) & (ks != 2)])
-    assert np.max(others) <= 1e-12
-
-
-def test_dft_round_trip():
-    rng = np.random.default_rng(9)
-    v = rng.standard_normal(13)
-    back = idft_y(dft_y(v))
-    assert np.max(np.abs(back - v)) <= 1e-12
-    assert np.max(np.abs(back.imag)) <= 1e-12
-
-
-@settings(deadline=None, max_examples=40)
-@given(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=48))
-def test_dft_parseval(values):
-    v = np.asarray(values)
-    coeffs = dft_y(v)
-    lhs = float(np.sum(v ** 2)) / v.size
-    rhs = float(np.sum(np.abs(coeffs) ** 2))
-    assert abs(lhs - rhs) <= 1e-12 * max(1.0, lhs)
-
-
-@settings(deadline=None, max_examples=40)
-@given(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=48))
-def test_dft_round_trip_property(values):
-    v = np.asarray(values)
-    back = idft_y(dft_y(v))
-    assert np.max(np.abs(back - v)) <= 1e-12 * max(1.0, np.max(np.abs(v)))
