@@ -259,13 +259,15 @@ class SparseFactor:
         x = self._lu.solve(rhs)
         its = 0
         scale = np.maximum(1.0, np.linalg.norm(rhs, axis=0))
-        rel = np.max(np.linalg.norm(rhs - A @ x, axis=0) / scale)
+        r = rhs - A @ x
+        rel = np.max(np.linalg.norm(r, axis=0) / scale)
         while its < MAX_REFINE and np.isfinite(rel) and rel > 0.05 * eff_tol:
-            x_next = x + self._lu.solve(rhs - A @ x)
-            rel_next = np.max(np.linalg.norm(rhs - A @ x_next, axis=0) / scale)
+            x_next = x + self._lu.solve(r)
+            r_next = rhs - A @ x_next
+            rel_next = np.max(np.linalg.norm(r_next, axis=0) / scale)
             if not (rel_next < rel):
                 break
-            x, rel = x_next, rel_next
+            x, r, rel = x_next, r_next, rel_next
             its += 1
         if not np.isfinite(rel) or rel > eff_tol:
             raise ConvergenceError(
