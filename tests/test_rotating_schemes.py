@@ -204,7 +204,7 @@ def test_lagrange_step_matches_block_solve(eps):
 
 
 def test_lagrange_multiplier_vanishes_on_constants():
-    # the stepper keeps only the f half of the block solve
+    # on constants the block solve leaves f unchanged and its multiplier zero
     m = (GRID40.nx - 1) * (GRID40.ny - 1)
     rhs = np.concatenate([np.full(m, 2.0), np.zeros(m)])
     sol = SparseFactor(assemble_lagrange_rot(GRID40, 0.5, DT)).solve(rhs)[0]
