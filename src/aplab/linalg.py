@@ -1,9 +1,10 @@
 """Structured and general sparse linear solvers and condition numbers.
 
-Every implicit scheme routes through here: the per-column cyclic systems of
-the first toy model through ``solve_cyclic``, the global systems of the
-second through ``assemble``/``SparseFactor`` as plain scipy CSR matrices,
-and the condition-number studies through ``cond2``.
+Every implicit scheme routes through one sparse LU, ``SparseFactor``: the
+per-column cyclic systems of the first toy model through ``solve_cyclic``,
+which factors each ``CyclicTridiag`` once and refines with a compensated
+residual; the global systems of the second through ``assemble`` as plain
+scipy CSR matrices. The condition-number studies go through ``cond2``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.signal import lfilter
 
 __all__ = [
     "SingularMatrixError", "ConvergenceError",
@@ -24,30 +24,55 @@ __all__ = [
 
 PIVOT_BREAKDOWN = 1e-30
 SOLVE_TOL = 1e-12  # relative residual bound of SparseFactor.solve
-MAX_REFINE = 10  # refinement passes SparseFactor.solve may take
+MAX_REFINE = 10  # refinement passes SparseFactor.solve and solve_cyclic may take
 COND_TOL = 1e-6  # stop threshold of cond2's error estimate, not a bound on its error
 COND_MAX_ITER = 10000
 
+_ULP = np.finfo(float).eps  # u = 2**-52, the spacing of doubles in [1, 2)
+_RESIDUAL_BLOCK = 8192  # entries per block of _cyclic_residual, sized for cache
 _DEKKER = 134217729.0  # 2**27 + 1, splits a double into two 26-bit halves
 
 
-def _two_prod(a: float, x: np.ndarray):
-    """Exact product a*x = p + e in working precision (Dekker splitting)."""
+def _split(x):
+    """Dekker's split x = hi + lo into two 26-bit halves."""
+    hi = _DEKKER * x
+    hi -= hi - x
+    return hi, x - hi
+
+
+def _two_prod(a: float, x: np.ndarray, x_split: tuple):
+    """Exact product a*x = p + e in working precision; x_split is _split(x)."""
+    (ah, al), (xh, xl) = _split(a), x_split
     p = a * x
-    ah = _DEKKER * a
-    ah = ah - (ah - a)
-    al = a - ah
-    xh = _DEKKER * x
-    xh = xh - (xh - x)
-    xl = x - xh
-    e = ((ah * xh - p) + ah * xl + al * xh) + al * xl
+    e = ah * xh - p
+    e += ah * xl
+    e += al * xh
+    e += al * xl
     return p, e
 
 
-def _two_sum(a, b):
-    s = a + b
+def _two_diff(a: np.ndarray, b: np.ndarray):
+    """Exact difference a - b = s + err (Knuth's TwoSum of a and -b)."""
+    s = a - b
     bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
+    err = s - bb
+    np.subtract(a, err, out=err)
+    bb += b
+    err -= bb
+    return s, err
+
+
+def _max_abs(a: np.ndarray) -> float:
+    """max |a| (0 when empty, NaN if any entry is) without an |a| temporary."""
+    return max(a.max(initial=0.0), -a.min(initial=0.0))
+
+
+def _shift_down(a: np.ndarray) -> np.ndarray:
+    """Rows moved down by one, cyclically: out[j] = a[j - 1]."""
+    out = np.empty_like(a)
+    out[1:] = a[:-1]
+    out[:1] = a[-1:]
+    return out
 
 
 class SingularMatrixError(RuntimeError):
@@ -71,7 +96,9 @@ class CyclicTridiag:
     ``d_lo`` is an optional exact low-order part of the diagonal: the stiff
     schemes build d as eps + beta, and rounding that sum would perturb the
     smallest eigenvalue (exactly eps) by u * beta, which dominates eps for
-    eps below 1e-5 or so. ``from_sum`` keeps the residue.
+    eps below 1e-5 or so. ``from_sum`` keeps the residue. The first
+    ``solve_cyclic`` factors ``to_sparse()``, which leaves d_lo out; d_lo
+    enters through the residual of the refinement.
     """
 
     n: int
@@ -81,9 +108,10 @@ class CyclicTridiag:
 
     @classmethod
     def from_sum(cls, n: int, d1: float, d2: float, s: float) -> "CyclicTridiag":
-        """Diagonal given as the exact sum d1 + d2."""
-        hi, lo = _two_sum(d1, d2)
-        return cls(n, hi, s, lo)
+        """Diagonal given as the exact sum d1 + d2 (Knuth's TwoSum)."""
+        hi = d1 + d2
+        bb = hi - d1
+        return cls(n, hi, s, (d1 - (hi - bb)) + (d2 - bb))
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -92,8 +120,7 @@ class CyclicTridiag:
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Apply the matrix; works on (n,) vectors and (n, k) batches."""
         y = self.d * x
-        y[1:] += self.s * x[:-1]
-        y[:1] += self.s * x[-1:]
+        y += self.s * _shift_down(x)
         return y
 
     def to_dense(self) -> np.ndarray:
@@ -112,42 +139,22 @@ class CyclicTridiag:
                         np.concatenate([np.full(self.n, self.d), np.full(self.n, self.s)]))
 
     @functools.cached_property
-    def _sweep_constants(self) -> tuple:
-        """Constants of ``_cyclic_sweep``, computed on the first solve.
+    def _factor(self) -> "SparseFactor":
+        """``SparseFactor`` of ``to_sparse()``, built on the first solve.
 
-        The ``lfilter`` coefficients (b, a), the powers v_j = phi^j as a
-        vector and as a column, and the closure pivot; at n = 1 only the
-        pivot d + s of the 1x1 system. Raises SingularMatrixError on pivot
-        breakdown; an error is not cached, so every solve raises it again.
+        Raises SingularMatrixError when a pivot of the elimination along the
+        cycle, d or d + s (-s/d)^(n-1), breaks down; errors are not cached.
         """
         d, s = self.d, self.s
         if abs(d) < PIVOT_BREAKDOWN:
             raise SingularMatrixError(f"singular matrix: diagonal pivot {d!r}")
-        if self.n == 1:
-            dd = d + s
-            if abs(dd) < PIVOT_BREAKDOWN:
-                raise SingularMatrixError("singular matrix: 1x1 cyclic system")
-            return None, None, None, None, dd
-        v = np.cumprod(np.full(self.n - 1, -s / d))
-        closure = d + s * v[-1]
+        if self.n == 1 and abs(d + s) < PIVOT_BREAKDOWN:
+            raise SingularMatrixError("singular matrix: 1x1 cyclic system")
+        closure = d + s * np.prod(np.full(self.n - 1, -s / d))
         if not np.isfinite(closure) or abs(closure) < PIVOT_BREAKDOWN:
             raise SingularMatrixError(
                 f"singular matrix: cyclic closure pivot {closure!r} (d={d!r}, s={s!r})")
-        return np.array([1.0 / d]), np.array([1.0, s / d]), v, v[:, None], closure
-
-
-def _cyclic_sweep(M: CyclicTridiag, rhs: np.ndarray) -> np.ndarray:
-    """One bordered-elimination pass; rhs shape (n,) or (n, k)."""
-    b, a, v, v_col, closure = M._sweep_constants
-    if M.n == 1:
-        return rhs / closure
-    # first n-1 rows express x_j = u_j + v_j * x_n with v_j = phi^j, phi = -s/d
-    u = lfilter(b, a, rhs[:-1], axis=0)
-    t = (rhs[-1] - M.s * u[-1]) / closure
-    x = np.empty_like(rhs, dtype=float)
-    x[:-1] = u + (v if rhs.ndim == 1 else v_col) * t
-    x[-1] = t
-    return x
+        return SparseFactor(self.to_sparse())
 
 
 def _cyclic_residual(M: CyclicTridiag, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -155,28 +162,38 @@ def _cyclic_residual(M: CyclicTridiag, x: np.ndarray, rhs: np.ndarray) -> np.nda
 
     The stiff solves divide by eigenvalues as small as eps while the matrix
     entries stay O(1), so a residual formed in plain arithmetic is pure
-    cancellation noise there; the correction pass needs the extra digits to
-    bring the forward error down to O(u) instead of O(cond * u).
+    cancellation noise there; the correction passes need the extra digits
+    to bring the forward error down to O(u) instead of O(cond * u).
     """
-    p1, e1 = _two_prod(M.d, x)
-    x_prev = np.empty_like(x)
-    x_prev[1:] = x[:-1]
-    x_prev[:1] = x[-1:]
-    p2, e2 = _two_prod(M.s, x_prev)
-    r, c1 = _two_sum(rhs, -p1)
-    r, c2 = _two_sum(r, -p2)
-    return r + (c1 + c2 - e1 - e2 - M.d_lo * x)
+    if x.ndim == 2 and x.shape[1] > 1 and x.size > _RESIDUAL_BLOCK:
+        # column blocks keep the dozen temporaries below in cache
+        step = max(1, _RESIDUAL_BLOCK // M.n)
+        r = np.empty_like(x)
+        for j in range(0, x.shape[1], step):
+            r[:, j:j + step] = _cyclic_residual(M, x[:, j:j + step], rhs[:, j:j + step])
+        return r
+    x_split = _split(x)
+    p1, e1 = _two_prod(M.d, x, x_split)
+    p2, e2 = _two_prod(M.s, x, x_split)  # s * x_{j-1} once shifted down
+    r, c1 = _two_diff(rhs, p1)
+    r, c2 = _two_diff(r, _shift_down(p2))
+    c1 += c2
+    c1 -= e1
+    c1 -= _shift_down(e2)
+    c1 -= M.d_lo * x
+    r += c1
+    return r
 
 
 def solve_cyclic(M: CyclicTridiag, rhs: np.ndarray) -> np.ndarray:
-    """Solve the cyclic bidiagonal system ``M x = rhs`` in O(n).
+    """Solve the cyclic bidiagonal system ``M x = rhs``.
 
-    Elimination carries the corner column as a bordered unknown t = x_n:
-    rows 1..n-1 give x_j = u_j + (-s/d)^j t, the last row closes t. One
-    refinement pass with a compensated residual keeps the forward error
-    near machine level even for nearly singular systems. Accuracy is
-    specified for |s| <= |d| (the regime the schemes produce); for |s| > |d|
-    the powers (-s/d)^j grow and accuracy degrades with n.
+    M's sparse LU is built once and reused. Passes of refinement with the
+    compensated residual keep the forward error near machine level even
+    for nearly singular systems. A pass scales the relative error by about
+    cond * u, so the first, which always runs, leaves about (cond * u)^2;
+    passes repeat while the correction exceeds u * max|x| and still
+    shrinks, up to ``MAX_REFINE``.
 
     ``rhs`` may be a (n,) vector or an (n, k) batch of right-hand sides.
     Raises SingularMatrixError on pivot breakdown (magnitude < 1e-30).
@@ -184,9 +201,16 @@ def solve_cyclic(M: CyclicTridiag, rhs: np.ndarray) -> np.ndarray:
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape[0] != M.n:
         raise ValueError(f"rhs length {rhs.shape[0]} does not match dimension {M.n}")
-    x = _cyclic_sweep(M, rhs)
-    resid = _cyclic_residual(M, x, rhs)
-    x = x + _cyclic_sweep(M, resid)
+    factor = M._factor
+    x = factor.raw_solve(rhs)
+    last = np.inf
+    for _ in range(MAX_REFINE):
+        corr = factor.raw_solve(_cyclic_residual(M, x, rhs))
+        x += corr
+        size = _max_abs(corr)
+        if not (_ULP * _max_abs(x) < size < last):
+            break
+        last = size
     return x
 
 
@@ -327,7 +351,8 @@ def cond2(A: sp.csr_matrix) -> float:
     rng = np.random.default_rng(0x5EED + n)
     v0 = rng.standard_normal(n)
 
-    lam_max, ok_max, rel_max = _iterate_extreme(lambda v: A.T @ (A @ v), v0)
+    At = A.T  # built once: A.T makes and checks a new CSC matrix per call
+    lam_max, ok_max, rel_max = _iterate_extreme(lambda v: At @ (A @ v), v0)
     if not ok_max:
         raise ConvergenceError(
             f"power iteration for sigma_max not settled after {COND_MAX_ITER} iterations "

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -54,16 +56,45 @@ def test_solve_cyclic_random_instances():
 
 def test_solve_cyclic_batched_rhs():
     rng = np.random.default_rng(3)
-    M = CyclicTridiag(12, 1.2, 0.3)
-    rhs = rng.standard_normal((12, 5))
-    x = solve_cyclic(M, rhs)
-    for k in range(5):
-        assert np.allclose(x[:, k], solve_cyclic(M, rhs[:, k]), rtol=0, atol=1e-13)
+    for n, k in [(12, 5), (300, 40)]:  # the second spans several residual blocks
+        M = CyclicTridiag(n, 1.2, 0.3)
+        rhs = rng.standard_normal((n, k))
+        x = solve_cyclic(M, rhs)
+        for j in range(k):
+            assert np.allclose(x[:, j], solve_cyclic(M, rhs[:, j]), rtol=0, atol=1e-13)
 
 
 def test_solve_cyclic_shape_mismatch():
     with pytest.raises(ValueError):
         solve_cyclic(CyclicTridiag(4, 1.0, 0.0), np.ones(5))
+
+
+def _exact_cyclic(M: CyclicTridiag, rhs) -> list:
+    """Rational solution of M x = rhs, with M's diagonal taken as d + d_lo."""
+    d, s = Fraction(M.d) + Fraction(M.d_lo), Fraction(M.s)
+    # x_j = a_j + b_j * t with t = x_{n-1}; the corner row closes t
+    a, b = [], []
+    a_prev, b_prev = Fraction(0), Fraction(1)  # x_{-1} is t itself
+    for r in rhs:
+        a_prev, b_prev = (Fraction(r) - s * a_prev) / d, -s * b_prev / d
+        a.append(a_prev)
+        b.append(b_prev)
+    t = a[-1] / (1 - b[-1])
+    return [aj + bj * t for aj, bj in zip(a, b)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+@pytest.mark.parametrize("beta", [0.37, 1.0, 12.5])
+def test_solve_cyclic_against_rational_oracle(n, beta):
+    # the stiff schemes' system: d = eps + beta kept exact, s = -beta, with
+    # condition number about (eps + 2 beta) / eps
+    rhs = np.random.default_rng(n).standard_normal(n)
+    u = np.finfo(float).eps
+    for eps in (1.0, 1e-3, 1e-6, 1e-9, 1e-12):
+        M = CyclicTridiag.from_sum(n, eps, beta, -beta)
+        exact = np.array([float(v) for v in _exact_cyclic(M, rhs)])
+        err = np.max(np.abs(solve_cyclic(M, rhs) - exact))
+        assert err <= 2 * u * np.max(np.abs(exact)), (eps, err)
 
 
 def test_assemble_empty():
