@@ -237,6 +237,6 @@ def make_aligned_stepper(cfg: AlignedSchemeConfig):
 
 
 def run_aligned(cfg: AlignedSchemeConfig, n_steps: int,
-                snapshot_times=None) -> RunResult:
+                snapshot_steps=None) -> RunResult:
     """Iterate the selected scheme from the sampled initial condition."""
-    return run_steps(cfg, make_aligned_stepper, n_steps, snapshot_times)
+    return run_steps(cfg, make_aligned_stepper, n_steps, snapshot_steps)

@@ -198,6 +198,12 @@ class ExperimentConfig:
         for lo, hi in (("x_min", "x_max"), ("y_min", "y_max")):
             if lo in p and not p[hi] > p[lo]:
                 raise ValueError(f"key '{hi}': must be > {lo}")
+        if self.kind == "rotating-run":
+            r = _circle_radius(p["x_max"] - p["x_min"], p["y_max"] - p["y_min"])
+            for key in ("x_min", "x_max", "y_min", "y_max"):
+                if (p[key] if key.endswith("max") else -p[key]) < r:
+                    raise ValueError(f"key '{key}': the domain must contain the circle of "
+                                     f"radius {r:g} about the origin")
         if "schemes" in p:
             known = [k.value for k in
                      (RotatingScheme if self.kind == "rotating-run" else AlignedScheme)]
@@ -231,7 +237,7 @@ def load_configs(config_path: str) -> list:
     text = Path(config_path).read_text(encoding="utf-8")
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ValueError(f"config file {config_path} is not valid JSON: {exc}") from exc
     entries = raw if isinstance(raw, list) else [raw]
     configs = []
@@ -388,6 +394,11 @@ def _run_aligned_run(cfg: ExperimentConfig, out: Path) -> tuple:
     return files, plots
 
 
+def _circle_radius(lx: float, ly: float) -> float:
+    """Radius of the origin-centred circle that ``rotating-run`` averages over."""
+    return min(1.0, lx / 4.0, ly / 4.0)
+
+
 def _run_rotating_run(cfg: ExperimentConfig, out: Path) -> tuple:
     p = cfg.params
     files = []
@@ -402,7 +413,7 @@ def _run_rotating_run(cfg: ExperimentConfig, out: Path) -> tuple:
         ys = grid.y_nodes()
         files.append(_write_csv(out / f"cut_{tag}.csv", ["y", "value"],
                                 ((ys[j], final.values[i_cut, j]) for j in range(grid.ny - 1))))
-        radius = min(1.0, 0.5 * min(grid.lx, grid.ly) / 2.0)
+        radius = _circle_radius(grid.lx, grid.ly)
         summary.append((scheme, eps, t_end, float(final.values.max()),
                         circle_average(final, radius)))
     files.append(_write_csv(out / "summary.csv", ["scheme", "eps", "t", "peak", "circle_avg"],
@@ -413,12 +424,9 @@ def _run_rotating_run(cfg: ExperimentConfig, out: Path) -> tuple:
 def _run_point_trace(cfg: ExperimentConfig, out: Path) -> tuple:
     p = cfg.params
     i_pt, j_pt = int(p["point"][0]), int(p["point"][1])
-    n_steps = int(p["nt"]) - 1
-    dt = p["t_end"] / n_steps
-    times = [n * dt for n in range(n_steps + 1)]
     files = []
     for scheme, eps, _, result in _runs(
-            p, _aligned_config, lambda c, n: run_aligned(c, n, snapshot_times=times)):
+            p, _aligned_config, lambda c, n: run_aligned(c, n, snapshot_steps=range(n + 1))):
         files.append(_write_csv(out / f"trace_{scheme}_eps{_eps_tag(eps)}.csv", ["t", "value"],
                                 ((t, fld.values[i_pt, j_pt]) for t, fld in result.snapshots)))
     return files, _plots(files, "lines")
@@ -560,25 +568,23 @@ class ExperimentFailure(Exception):
     """A failure inside one experiment; the message names the experiment."""
 
 
-def _execute_one(task) -> tuple:
+def _execute_one(cfg: ExperimentConfig, out_base: Path) -> tuple:
     """Write one experiment into ``.<name>.partial`` and rename it onto
     ``<name>`` once its manifest is written; a failure removes the partial
     directory and leaves an earlier ``<name>`` as it was."""
-    kind, params, name, out_base = task
-    cfg = ExperimentConfig(kind, params, name)
-    out = Path(out_base) / name
-    partial = Path(out_base) / f".{name}.partial"
+    out = out_base / cfg.name
+    partial = out_base / f".{cfg.name}.partial"
     t0 = _time.perf_counter()
     try:
         shutil.rmtree(partial, ignore_errors=True)
         partial.mkdir(parents=True)
-        files, plot_lines = _RUNNERS[kind](cfg, partial)
+        files, plot_lines = _RUNNERS[cfg.kind](cfg, partial)
         gp = partial / "plot.gp"
         gp.write_text("set datafile separator \",\"\nset key outside\n"
                       + "\n".join(plot_lines) + "\n", encoding="utf-8")
         files.append(gp)
         manifest = {
-            "config": {"kind": kind, "name": name, **params},
+            "config": {"kind": cfg.kind, "name": cfg.name, **cfg.params},
             "outputs": [{"path": f.name, "sha256": _sha256(f)} for f in files],
             "wall_time_s": _time.perf_counter() - t0,
             "version": __version__,
@@ -591,9 +597,9 @@ def _execute_one(task) -> tuple:
         shutil.rmtree(partial, ignore_errors=True)
         for label, kinds in _FAILURES.items():
             if isinstance(exc, kinds):
-                raise ExperimentFailure(f"{label} in {name}: {exc}") from exc
+                raise ExperimentFailure(f"{label} in {cfg.name}: {exc}") from exc
         raise
-    return name, [str(out / f.name) for f in files]
+    return cfg.name, [str(out / f.name) for f in files]
 
 
 def run_experiment(config_path: str, out_dir: str | None = None,
@@ -610,13 +616,12 @@ def run_experiment(config_path: str, out_dir: str | None = None,
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     out_base = Path(out_dir) if out_dir else Path(config_path).resolve().parent
-    tasks = [(c.kind, c.params, c.name, str(out_base)) for c in configs]
     try:
-        if workers > 1 and len(tasks) > 1:
+        if workers > 1 and len(configs) > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_execute_one, tasks))
+                results = list(pool.map(_execute_one, configs, [out_base] * len(configs)))
         else:
-            results = [_execute_one(t) for t in tasks]
+            results = [_execute_one(c, out_base) for c in configs]
     except ExperimentFailure as exc:
         print(exc, file=sys.stderr)
         return 2

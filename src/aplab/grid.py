@@ -120,9 +120,4 @@ def sample(grid: Grid2D, g) -> Field2D:
     """
     x = grid.x_nodes()
     y = grid.y_nodes()
-    vals = np.asarray(g(x[:, None], y[None, :]), dtype=float)
-    if vals.shape != (x.size, y.size):
-        vals = np.broadcast_to(vals, (x.size, y.size)).copy()
-    if not np.all(np.isfinite(vals)):
-        raise FloatingPointError("non-finite sample")
-    return Field2D(grid, vals)
+    return Field2D(grid, np.broadcast_to(g(x[:, None], y[None, :]), (x.size, y.size)))

@@ -28,27 +28,22 @@ class RunResult:
     diagnostics: list[StepRecord] = field(default_factory=list)
 
 
-def run_steps(cfg, make_stepper, n_steps: int, snapshot_times=None) -> RunResult:
+def run_steps(cfg, make_stepper, n_steps: int, snapshot_steps=None) -> RunResult:
     """Iterate ``make_stepper(cfg)`` from the sampled initial condition.
 
     ``cfg`` carries ``model`` (with ``f_in``), ``grid`` and ``dt``; the
     rest is read by ``make_stepper``. The stepper's ``initial(f0)`` builds its state from the
     sampled field and ``step(state)`` returns ``(state, SolveStats)``; every
-    state exposes ``.field`` and ``.mass()``. Snapshot times must sit on the
-    time grid (multiples of dt, within the run); misaligned requests are
-    rejected rather than interpolated. Mass and solver residuals are
-    recorded every step, and a failing step names its index.
+    state exposes ``.field`` and ``.mass()``; the field is kept at each step in
+    ``snapshot_steps`` (integers in 0..n_steps; default 0 and n_steps). Mass and
+    solver residuals are recorded every step, and a failing step names its index.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
-    if snapshot_times is None:
-        snapshot_times = [0.0, n_steps * cfg.dt] if n_steps > 0 else [0.0]
-    snap_steps = set()
-    for t in snapshot_times:
-        n = round(t / cfg.dt)
-        if abs(t - n * cfg.dt) > 1e-9 * max(cfg.dt, abs(t)) or n < 0 or n > n_steps:
-            raise ValueError(f"snapshot time {t} is not a step multiple within the run")
-        snap_steps.add(int(n))
+    snap_steps = {0, n_steps} if snapshot_steps is None else set(snapshot_steps)
+    for n in snap_steps:
+        if n not in range(n_steps + 1):
+            raise ValueError(f"snapshot step {n!r} is not an integer in 0..{n_steps}")
 
     f0 = sample(cfg.grid, cfg.model.f_in)
     stepper = make_stepper(cfg)

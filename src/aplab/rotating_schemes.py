@@ -172,6 +172,6 @@ _STEPPERS = {
 
 
 def run_rotating(cfg: RotatingSchemeConfig, n_steps: int,
-                 snapshot_times=None) -> RunResult:
+                 snapshot_steps=None) -> RunResult:
     """Iterate the selected scheme from the sampled initial condition."""
-    return run_steps(cfg, _STEPPERS[cfg.scheme], n_steps, snapshot_times)
+    return run_steps(cfg, _STEPPERS[cfg.scheme], n_steps, snapshot_steps)

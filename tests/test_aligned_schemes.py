@@ -281,15 +281,16 @@ def test_run_zero_steps():
 
 def test_run_records_requested_snapshots():
     cfg = make_cfg(AlignedScheme.FOURIER, 1.0, dt=0.1)
-    result = run_aligned(cfg, 10, snapshot_times=[0.0, 0.5, 1.0])
+    result = run_aligned(cfg, 10, snapshot_steps=[0, 5, 10])
     assert [t for t, _ in result.snapshots] == [0.0, 0.5, 1.0]
     assert len(result.diagnostics) == 11
 
 
-def test_run_rejects_misaligned_snapshot():
+def test_run_rejects_snapshot_step_outside_run():
     cfg = make_cfg(AlignedScheme.IMEX, 1.0, dt=0.1)
-    with pytest.raises(ValueError):
-        run_aligned(cfg, 10, snapshot_times=[0.25])
+    for step in (-1, 11):
+        with pytest.raises(ValueError, match="not an integer in 0..10"):
+            run_aligned(cfg, 10, snapshot_steps=[0, step])
 
 
 def test_run_attaches_step_index_to_failure():

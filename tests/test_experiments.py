@@ -196,6 +196,9 @@ def _boundaries():
                 rows.append((kind, key, 0.0, 5e-324, others))
             elif key == "a":
                 rows.append((kind, key, -5e-324, 0.0, others))
+            elif key in ("x_max", "y_max") and kind == "rotating-run":
+                # the domain [-3, x_max] holds the circle of radius min(1, lx/4, ly/4)
+                rows.append((kind, key, math.nextafter(1.0, -math.inf), 1.0, others))
             elif key in ("x_max", "y_max"):
                 low = d[key[0] + "_min"]
                 rows.append((kind, key, low, math.nextafter(low, math.inf), others))
@@ -218,6 +221,9 @@ def _boundaries():
         ("point-trace", "point", [0, -1], [0, 0]),
         ("point-trace", "point", [2, 0], [1, 0]),
         ("point-trace", "point", [0, 200], [0, 199]),
+        # likewise [x_min, 3] from x_min = -1 on
+        ("rotating-run", "x_min", math.nextafter(-1.0, math.inf), -1.0),
+        ("rotating-run", "y_min", math.nextafter(-1.0, math.inf), -1.0),
     ]]
 
 
@@ -342,6 +348,25 @@ def test_run_experiment_config_error(tmp_path, capsys):
     assert "config error" in err and "bogus" in err
 
 
+def test_deeply_nested_config_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert run_experiment(str(path), str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "not valid JSON" in err and "Traceback" not in err
+
+
+def test_rotating_run_domain_must_hold_the_circle(tmp_path, capsys):
+    # the summary averages over a circle about the origin, so an off-centre
+    # domain is a config error, caught before any scheme runs
+    entry = {"kind": "rotating-run", "x_min": 0.5, "nx": 8, "ny": 8, "nt": 3}
+    assert run_experiment(write_config(tmp_path, entry), str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "'x_min'" in err and "circle" in err
+    assert not (tmp_path / "out").exists()
+    assert ExperimentConfig("rotating-run", {}).params["x_min"] == -3.0
+
+
 def test_run_experiment_numerical_failure(tmp_path, capsys):
     entry = dict(TINY_ALIGNED, eps_list=[0.0])
     cfg = write_config(tmp_path, entry)
@@ -394,11 +419,23 @@ def test_rerun_replaces_the_output_directory(tmp_path):
     (out / "tiny" / "stale.csv").write_text("old\n")
     (out / ".tiny.partial").mkdir()
     params = {"nx": 17, "ny": 17, "nt": 3, "schemes": ["imex"], "eps_list": [1.0]}
-    name, paths = experiments._execute_one(("aligned-run", params, "tiny", str(out)))
+    name, paths = experiments._execute_one(ExperimentConfig("aligned-run", params, "tiny"), out)
     assert {p.name for p in out.iterdir()} == {"tiny"}
     assert sorted(paths) == sorted(str(p) for p in (out / "tiny").iterdir()
                                    if p.name != "manifest.json")
     assert _listed_equals_on_disk(out / "tiny")
+
+
+def test_worker_pool_writes_the_same_bytes(tmp_path):
+    batch = [dict(TINY_ALIGNED, name="first", nt=3),
+             {"kind": "stability-scan", "name": "second", "n": 8, "alpha_list": [0.9, 1.1]}]
+    cfg = write_config(tmp_path, batch)
+    for workers in (1, 2):
+        assert run_experiment(cfg, str(tmp_path / f"w{workers}"), workers=workers) == 0
+    files = {w: {p.relative_to(tmp_path / w): p.read_bytes()
+                 for p in (tmp_path / w).rglob("*.*") if p.name != "manifest.json"}
+             for w in ("w1", "w2")}
+    assert len(files["w1"]) == 7 and files["w1"] == files["w2"]
 
 
 def test_close_eps_get_their_own_files(tmp_path):
