@@ -25,12 +25,20 @@ __all__ = [
 PIVOT_BREAKDOWN = 1e-30
 SOLVE_TOL = 1e-12  # relative residual bound of SparseFactor.solve
 MAX_REFINE = 10  # refinement passes SparseFactor.solve and solve_cyclic may take
+ONE_PASS_K = 1e5  # solve_cyclic stops after one pass when its contraction is <= K * u
 COND_TOL = 1e-6  # stop threshold of cond2's error estimate, not a bound on its error
 COND_MAX_ITER = 10000
 
 _ULP = np.finfo(float).eps  # u = 2**-52, the spacing of doubles in [1, 2)
 _RESIDUAL_BLOCK = 8192  # entries per block of _cyclic_residual, sized for cache
 _DEKKER = 134217729.0  # 2**27 + 1, splits a double into two 26-bit halves
+
+
+def _two_sum(a: float, b: float) -> tuple:
+    """Exact sum a + b = hi + lo of two doubles (Knuth's TwoSum)."""
+    hi = a + b
+    bb = hi - a
+    return hi, (a - (hi - bb)) + (b - bb)
 
 
 def _split(x):
@@ -108,20 +116,13 @@ class CyclicTridiag:
 
     @classmethod
     def from_sum(cls, n: int, d1: float, d2: float, s: float) -> "CyclicTridiag":
-        """Diagonal given as the exact sum d1 + d2 (Knuth's TwoSum)."""
-        hi = d1 + d2
-        bb = hi - d1
-        return cls(n, hi, s, (d1 - (hi - bb)) + (d2 - bb))
+        """Diagonal given as the exact sum d1 + d2."""
+        hi, lo = _two_sum(d1, d2)
+        return cls(n, hi, s, lo)
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"dimension must be >= 1, got {self.n}")
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Apply the matrix; works on (n,) vectors and (n, k) batches."""
-        y = self.d * x
-        y += self.s * _shift_down(x)
-        return y
 
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
@@ -156,6 +157,17 @@ class CyclicTridiag:
                 f"singular matrix: cyclic closure pivot {closure!r} (d={d!r}, s={s!r})")
         return SparseFactor(self.to_sparse())
 
+    @functools.cached_property
+    def _one_pass(self) -> bool:
+        """Whether one refinement pass of ``solve_cyclic`` already gives the
+        rounded solution; see there for the rule."""
+        n = self.n
+        lam_f = self.d + self.s * np.exp(-2j * np.pi * np.arange(n) / n)
+        delta = self.d_lo + (_two_sum(self.d, self.s)[1] if n == 1 else 0.0)
+        lam = np.abs(lam_f + delta)
+        rho = lam.max() / lam.min() * _ULP + abs(delta) / np.abs(lam_f).min()
+        return bool(rho <= ONE_PASS_K * _ULP)
+
 
 def _cyclic_residual(M: CyclicTridiag, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """rhs - d*x - s*x_{j-1} (cyclic) with compensated products and sums.
@@ -188,10 +200,19 @@ def _cyclic_residual(M: CyclicTridiag, x: np.ndarray, rhs: np.ndarray) -> np.nda
 def solve_cyclic(M: CyclicTridiag, rhs: np.ndarray) -> np.ndarray:
     """Solve the cyclic bidiagonal system ``M x = rhs``.
 
-    M's sparse LU is built once and reused. Passes of refinement with the
+    M's sparse LU is built once and reused; passes of refinement with the
     compensated residual keep the forward error near machine level even
-    for nearly singular systems. A pass scales the relative error by about
-    cond * u, so the first, which always runs, leaves about (cond * u)^2;
+    for nearly singular systems. The LU factors M' = ``to_sparse()``, which
+    differs from M by delta I: delta is d_lo, plus at n = 1 the rounding of
+    d + s, which assembly sums into one entry. Both are circulant, with
+    spectra lam'_k = d + s e^{-2 pi i k/n} (fl(d + s) at n = 1) and
+    lam_k = lam'_k + delta, so a pass scales the error by at most
+    rho = cond2(M) u + |delta| / min|lam'_k|, with cond2(M) =
+    max|lam_k| / min|lam_k|. The first pass always runs and leaves about
+    rho^2 |x|. When rho <= ``ONE_PASS_K`` u that is at most 4.9e-22 |x|, far
+    below the u/2 |x| of rounding, and the solve stops there. (Only where
+    the exact solution sits on a rounding tie, which takes specially
+    structured d and s, may further passes round it the other way.) Otherwise,
     passes repeat while the correction exceeds u * max|x| and still
     shrinks, up to ``MAX_REFINE``.
 
@@ -207,6 +228,8 @@ def solve_cyclic(M: CyclicTridiag, rhs: np.ndarray) -> np.ndarray:
     for _ in range(MAX_REFINE):
         corr = factor.raw_solve(_cyclic_residual(M, x, rhs))
         x += corr
+        if M._one_pass:
+            break
         size = _max_abs(corr)
         if not (_ULP * _max_abs(x) < size < last):
             break

@@ -202,11 +202,13 @@ def _boundaries():
             elif key in ("x_max", "y_max"):
                 low = d[key[0] + "_min"]
                 rows.append((kind, key, low, math.nextafter(low, math.inf), others))
-    return rows + [(*row, {}) for row in [
+    return rows + [row if len(row) == 5 else (*row, {}) for row in [
         # integers take part as floats, so their magnitude stops at 2**53
         ("aligned-run", "nx", 2 ** 53 + 1, 2 ** 53),
-        ("aligned-run", "eps_list", [-5e-324], [0.0]),
-        ("point-trace", "eps_list", [1.0, -5e-324], [1.0, 0.0]),
+        # imex is rejected at eps = 0 (the last row), the other schemes are not
+        ("aligned-run", "eps_list", [-5e-324], [0.0], {"schemes": ["fourier"]}),
+        ("point-trace", "eps_list", [1.0, -5e-324], [1.0, 0.0],
+         {"schemes": ["fourier", "micro-macro", "lagrange"]}),
         ("amplification-check", "eps_list", [-5e-324], [0.0]),
         # the fully implicit default scheme and the exact solution need eps > 0
         ("rotating-run", "eps_list", [0.0], [5e-324]),
@@ -224,6 +226,8 @@ def _boundaries():
         # likewise [x_min, 3] from x_min = -1 on
         ("rotating-run", "x_min", math.nextafter(-1.0, math.inf), -1.0),
         ("rotating-run", "y_min", math.nextafter(-1.0, math.inf), -1.0),
+        # the imex y-system is singular at eps = 0
+        ("aligned-run", "eps_list", [0.0], [5e-324], {"schemes": ["imex"]}),
     ]]
 
 
@@ -367,11 +371,14 @@ def test_rotating_run_domain_must_hold_the_circle(tmp_path, capsys):
     assert ExperimentConfig("rotating-run", {}).params["x_min"] == -3.0
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_run_experiment_numerical_failure(tmp_path, capsys):
-    entry = dict(TINY_ALIGNED, eps_list=[0.0])
+    # a = 1e200 overflows the explicit step to inf within two steps
+    entry = dict(TINY_ALIGNED, a=1e200)
     cfg = write_config(tmp_path, entry)
     assert run_experiment(cfg, str(tmp_path / "out")) == 2
-    assert "numerical failure in tiny: step 1:" in capsys.readouterr().err
+    assert ("numerical failure in tiny: step 2: non-finite field values"
+            in capsys.readouterr().err)
     # neither the experiment's directory nor its partial one is left behind
     assert list((tmp_path / "out").iterdir()) == []
 
@@ -401,11 +408,12 @@ def _listed_equals_on_disk(out):
     return listed == {p.name for p in out.iterdir()} - {"manifest.json"}
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_failed_batch_entry_keeps_the_others(tmp_path):
     out = tmp_path / "out"
     assert run_experiment(write_config(tmp_path, TINY_ALIGNED), str(out)) == 0
     before = {p.name: p.read_bytes() for p in (out / "tiny").iterdir()}
-    batch = [dict(TINY_ALIGNED, name="first", nt=3), dict(TINY_ALIGNED, eps_list=[0.0])]
+    batch = [dict(TINY_ALIGNED, name="first", nt=3), dict(TINY_ALIGNED, a=1e200)]
     assert run_experiment(write_config(tmp_path, batch), str(out)) == 2
     # the failed rerun of tiny leaves the earlier tiny as it was
     assert {p.name for p in out.iterdir()} == {"tiny", "first"}

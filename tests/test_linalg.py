@@ -97,6 +97,53 @@ def test_solve_cyclic_against_rational_oracle(n, beta):
         assert err <= 2 * u * np.max(np.abs(exact)), (eps, err)
 
 
+# (n, right-hand sides per system)
+_ONE_PASS_SHAPES = [(1, 2000), (2, 1000), (7, 300), (400, 5), (8000, 1)]
+
+
+def test_one_pass_matches_the_refinement_loop(monkeypatch):
+    # wherever the stop rule takes one pass, the loop's further passes
+    # would change no bit. eps and beta are drawn log-uniformly: round
+    # values such as n = 2, eps = 1, beta = 12.5 give exact solutions that
+    # sit on a rounding tie, which one pass may break the other way
+    rng = np.random.default_rng(2024)
+    cases = []
+    for n, k in _ONE_PASS_SHAPES:
+        for _ in range(40):
+            eps = 10.0 ** rng.uniform(-6.0, np.log10(5.0))
+            beta = 10.0 ** rng.uniform(np.log10(3.5e-4), np.log10(51.0))
+            M = CyclicTridiag.from_sum(n, eps, beta, -beta)
+            if M._one_pass:
+                rhs = rng.standard_normal((n, k))
+                cases.append((M, rhs, solve_cyclic(M, rhs)))
+    assert len(cases) >= 100
+    # the refinement loop, whatever the rule says
+    monkeypatch.setattr(CyclicTridiag, "_one_pass", property(lambda self: False))
+    for M, rhs, x in cases:
+        assert np.array_equal(solve_cyclic(M, rhs), x), M
+
+
+def test_one_pass_rule_sees_the_factored_scalar(monkeypatch):
+    # at n = 1 the condition number is 1, but the factored scalar fl(d + s)
+    # is off from eps by about u * beta: one pass leaves a relative error
+    # near (u * beta / eps)^2, so the rule keeps the loop
+    M = CyclicTridiag.from_sum(1, 1e-9, 1.0, -1.0)
+    assert not M._one_pass
+    rhs = np.array([0.7])
+    exact = float(_exact_cyclic(M, rhs)[0])
+    u = np.finfo(float).eps
+    assert abs(solve_cyclic(M, rhs)[0] - exact) <= 2 * u * abs(exact)
+    monkeypatch.setattr(CyclicTridiag, "_one_pass", property(lambda self: True))
+    assert abs(solve_cyclic(M, rhs)[0] - exact) > 2 * u * abs(exact)
+
+
+def test_one_pass_rule_keeps_the_loop_for_stiff_field_output():
+    # the default aligned-run y-system (201 x 201 grid, dt = 0.01) at eps = 1e-6
+    beta = 0.01 / (2.0 * np.pi / 200)
+    assert not CyclicTridiag.from_sum(200, 1e-6, beta, -beta)._one_pass
+    assert CyclicTridiag.from_sum(200, 1.0, beta, -beta)._one_pass
+
+
 def test_assemble_empty():
     M = assemble(3, 3, [], [], [])
     assert np.array_equal(M.toarray(), np.zeros((3, 3)))
@@ -125,14 +172,19 @@ def test_cyclic_to_sparse_matches_dense(n):
     assert np.array_equal(M.to_sparse().toarray(), M.to_dense())
 
 
+def cyclic_matvec(M: CyclicTridiag, x: np.ndarray) -> np.ndarray:
+    """Matrix-free oracle of ``M @ x`` (d_lo left out) on (n,) vectors and
+    (n, k) batches: d x_j + s x_{j-1}, cyclically."""
+    return M.d * x + M.s * np.roll(x, 1, axis=0)
+
+
 @pytest.mark.parametrize("n", [1, 2, 7])
 def test_cyclic_matvec_and_solve(n):
     M = CyclicTridiag(n, 1.5, -0.25)
     rng = np.random.default_rng(n)
     for x in (rng.standard_normal(n), rng.standard_normal((n, 3))):
-        y = M.matvec(x)
-        # the same arithmetic as the np.roll form of the stencil
-        assert np.array_equal(y, M.d * x + M.s * np.roll(x, 1, axis=0))
+        y = cyclic_matvec(M, x)
+        assert np.allclose(y, M.to_dense() @ x, rtol=0, atol=1e-15)
         assert np.max(np.abs(solve_cyclic(M, y) - x)) <= 1e-14
 
 
