@@ -227,8 +227,7 @@ class ExperimentConfig:
             raise ValueError(f"key 'modes': entries k must satisfy 2|k| < n = {p['n']}")
         if 0.0 in p.get("eps_list", ()) and "imp" in p.get("schemes", ()):
             raise ValueError("key 'eps_list': the fully implicit scheme 'imp' needs eps > 0")
-        if (0.0 in p.get("eps_list", ()) and "imex" in p.get("schemes", ())
-                and self.kind in ("aligned-run", "point-trace")):
+        if 0.0 in p.get("eps_list", ()) and "imex" in p.get("schemes", ()):
             # the cyclic y-system of every imex step is singular at eps = 0
             raise ValueError(f"key 'eps_list': {self.kind} with scheme 'imex' needs eps > 0")
         if 0.0 in p.get("eps_list", ()) and self.kind in ("eps-sweep", "cond-sweep"):

@@ -3,8 +3,9 @@
 Both schemes use the same variable-coefficient upwind operator U for
 y*d/dx - x*d/dy. The fully implicit scheme solves (Id + dt/eps U) f = f^n
 and degrades as eps shrinks; the multiplier scheme eliminates the f half of
-its 2M x 2M block system and solves the M x M Schur complement for the
-multiplier, which stays nonsingular down to eps = 0.
+its 2M x 2M block system and solves the M x M Schur complement, a quadratic
+in U, through LU factors of U shifted by its roots. The complement stays
+nonsingular down to eps = 0; the shifted factors fill far less than its own.
 """
 
 from __future__ import annotations
@@ -113,9 +114,9 @@ def assemble_lagrange_rot(grid: Grid2D, eps: float, dt: float,
 
     This is the matrix whose conditioning ``cond-sweep`` toy 2 measures and
     the reference the tests hold the stepper to; ``LagrangeRotatingStepper``
-    solves its Schur complement instead. The (dx dy)^gamma term stabilizes
-    the q-block, which would otherwise share the kernel of U; the system
-    stays nonsingular for every eps >= 0.
+    solves its Schur complement instead, through shifted factors of U.
+    The (dx dy)^gamma term stabilizes the q-block, which would otherwise
+    share the kernel of U; the system stays nonsingular for every eps >= 0.
     The sign matters: eliminating q gives the per-mode growth factor
     (eps lam + s) / (dt lam^2 + eps lam + s) on an eigenvalue lam of U,
     which is <= 1 for every near-real mode. The opposite sign puts
@@ -142,12 +143,46 @@ class ImpStepper:
         return f.with_values(vals), stats
 
 
+class _ShiftedFactor(SparseFactor):
+    """S = dt U^2 + eps U + s Id solved as dt (U - r1 Id)(U - r2 Id).
+
+    r1, r2 are the roots of dt r^2 + eps r + s. Real roots get one LU each,
+    with r2 = s / (dt r1) to avoid cancellation; a complex pair gets one
+    complex LU F of U - r1 Id, and the conj(r1) solve is conj(F^-1 conj(y)).
+    Re r < 0 (r is imaginary at eps = 0) and the off-diagonal column sums of
+    U equal its diagonal, so each U - r Id is column diagonally dominant and
+    ``SparseFactor`` keeps U's sparsity. S is never factored; ``solve``
+    refines against it.
+    """
+
+    def __init__(self, U: sp.csr_matrix, dt: float, eps: float, s: float):
+        Id = sp.identity(U.shape[0], format="csr")
+        self.matrix = S = dt * (U @ U) + eps * U + s * Id
+        self.norm1 = float(abs(S).sum(axis=0).max())
+        self.dt = dt
+        c = 2.0 * np.sqrt(dt * s)  # double root at eps = c
+        if eps >= c:  # sqrt((eps - c)(eps + c)) neither cancels nor overflows
+            r1 = -(eps + np.sqrt(eps - c) * np.sqrt(eps + c)) / (2.0 * dt)
+            shifts = (r1, s / (dt * r1))
+        else:
+            shifts = (complex(-eps, np.sqrt(c - eps) * np.sqrt(c + eps)) / (2.0 * dt),)
+        self._shifted = [SparseFactor(U - r * Id) for r in shifts]
+
+    def raw_solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+        # the factors commute, so the transposed solve takes the same order
+        y = self._shifted[0].raw_solve(rhs, trans)
+        if len(self._shifted) == 2:
+            return self._shifted[1].raw_solve(y, trans) / self.dt
+        # the conj(r1) solve, real part kept: Re conj(F^-1 conj(y)) = Re F^-1 conj(y)
+        return self._shifted[0].raw_solve(y.conj(), trans).real / self.dt
+
+
 class LagrangeRotatingStepper:
     """Multiplier scheme stepped through the Schur complement of ``assemble_lagrange_rot``.
 
     Each step solves (dt U^2 + eps U + s Id) q = U f^n, s = (dx dy)^gamma,
-    and sets f = f^n - dt U q. The column sums of U vanish, so that update
-    conserves mass whatever the residual of the q solve.
+    with ``_ShiftedFactor`` and sets f = f^n - dt U q. The column sums of U
+    vanish, so that update conserves mass whatever the q solve's residual.
     """
 
     initial = staticmethod(_plain)
@@ -156,8 +191,7 @@ class LagrangeRotatingStepper:
         self.cfg = cfg
         self.U = U = upwind_rotation_matrix(cfg.grid)
         stab = (cfg.grid.dx * cfg.grid.dy) ** cfg.gamma
-        self.factor = SparseFactor(
-            cfg.dt * (U @ U) + cfg.model.eps * U + stab * sp.identity(U.shape[0], format="csr"))
+        self.factor = _ShiftedFactor(U, cfg.dt, cfg.model.eps, stab)
 
     def step(self, f: Field2D) -> tuple[Field2D, SolveStats]:
         fn = f.values.ravel()

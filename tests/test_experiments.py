@@ -205,11 +205,11 @@ def _boundaries():
     return rows + [row if len(row) == 5 else (*row, {}) for row in [
         # integers take part as floats, so their magnitude stops at 2**53
         ("aligned-run", "nx", 2 ** 53 + 1, 2 ** 53),
-        # imex is rejected at eps = 0 (the last row), the other schemes are not
+        # imex is rejected at eps = 0 (the last two rows), the other schemes are not
         ("aligned-run", "eps_list", [-5e-324], [0.0], {"schemes": ["fourier"]}),
         ("point-trace", "eps_list", [1.0, -5e-324], [1.0, 0.0],
          {"schemes": ["fourier", "micro-macro", "lagrange"]}),
-        ("amplification-check", "eps_list", [-5e-324], [0.0]),
+        ("amplification-check", "eps_list", [-5e-324], [0.0], {"schemes": ["lagrange"]}),
         # the fully implicit default scheme and the exact solution need eps > 0
         ("rotating-run", "eps_list", [0.0], [5e-324]),
         ("eps-sweep", "eps_list", [0.0], [5e-324]),
@@ -228,6 +228,7 @@ def _boundaries():
         ("rotating-run", "y_min", math.nextafter(-1.0, math.inf), -1.0),
         # the imex y-system is singular at eps = 0
         ("aligned-run", "eps_list", [0.0], [5e-324], {"schemes": ["imex"]}),
+        ("amplification-check", "eps_list", [0.0], [5e-324], {"schemes": ["imex"]}),
     ]]
 
 

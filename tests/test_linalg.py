@@ -2,8 +2,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from aplab import linalg
+from aplab.aligned_schemes import aligned_lagrange_matrix
+from aplab.grid import make_grid2d
 from aplab.linalg import (
+    SOLVE_TOL,
     ConvergenceError,
     CyclicTridiag,
     SingularMatrixError,
@@ -12,6 +18,7 @@ from aplab.linalg import (
     cond2,
     solve_cyclic,
 )
+from aplab.rotating_schemes import assemble_imp, assemble_lagrange_rot, upwind_rotation_matrix
 
 
 def test_solve_cyclic_identity():
@@ -228,6 +235,46 @@ def test_sparse_factor_reuse():
         rhs = rng.standard_normal(n)
         x, _ = factor.solve(rhs)
         assert np.max(np.abs(M @ x - rhs)) <= 1e-12
+
+
+def _rotation_matrices(n: int = 12, dt: float = 0.05, eps: float = 1e-3) -> dict:
+    g = make_grid2d(-3, 3, -3, 3, n, n)
+    U = upwind_rotation_matrix(g)
+    Id = sp.identity(U.shape[0], format="csr")
+    return {"imp": assemble_imp(g, eps, dt),
+            "shifted": U - complex(-eps, 0.4) * Id,
+            "schur": dt * (U @ U) + eps * U + (g.dx * g.dy) ** 0.91 * Id,
+            "block": assemble_lagrange_rot(g, eps, dt)}
+
+
+@pytest.mark.parametrize("name, ordering", [
+    ("cyclic", "MMD_AT_PLUS_A"), ("imp", "MMD_AT_PLUS_A"), ("shifted", "MMD_AT_PLUS_A"),
+    ("schur", "COLAMD"), ("aligned", "COLAMD"), ("block", "COLAMD")])
+def test_sparse_factor_orders_by_column_dominance(monkeypatch, name, ordering):
+    # the column diagonally dominant matrices get the symmetric-mode ordering,
+    # the others COLAMD; both solve to the refinement tolerance
+    matrices = {"cyclic": CyclicTridiag(64, 1.0 + 1e-3, -1.0).to_sparse(),
+                "aligned": aligned_lagrange_matrix(16, 2.0, 1e-3), **_rotation_matrices()}
+    A = matrices[name]
+    seen = []
+    real_splu = spla.splu
+
+    def splu(M, **kw):
+        seen.append(kw.get("permc_spec", "COLAMD"))
+        return real_splu(M, **kw)
+
+    monkeypatch.setattr(linalg.spla, "splu", splu)
+    factor = SparseFactor(A)
+    assert seen == [ordering]
+    b = np.random.default_rng(9).standard_normal(A.shape[0])
+    x, stats = factor.solve(b)
+    assert np.linalg.norm(b - A @ x) <= SOLVE_TOL * max(1.0, np.linalg.norm(b))
+    assert stats.residual_norm <= SOLVE_TOL
+
+
+def test_symmetric_ordering_stores_less_than_colamd():
+    A = _rotation_matrices(n=40)["imp"]
+    assert SparseFactor(A)._lu.nnz < spla.splu(A.tocsc()).nnz
 
 
 def test_cond2_identity():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from aplab.grid import Field2D, make_grid2d, sample
 from aplab.linalg import SparseFactor, cond2
@@ -101,7 +102,7 @@ def test_upwind_matrix_structure():
 def test_assemble_imp_large_eps_is_identity():
     g = make_grid2d(-3, 3, -3, 3, 8, 8)
     A = assemble_imp(g, 1e12, 0.1)
-    d = A - __import__("scipy.sparse", fromlist=["identity"]).identity(A.shape[0])
+    d = A - sp.identity(A.shape[0])
     assert abs(d).max() <= 1e-10
 
 
@@ -176,7 +177,7 @@ def test_lagrange_system_blocks():
     A = assemble_lagrange_rot(g, 0.4, dt)
     m = (g.nx - 1) * (g.ny - 1)
     U = upwind_rotation_matrix(g)
-    assert abs(A[:m, :m] - __import__("scipy.sparse", fromlist=["identity"]).identity(m)).max() == 0.0
+    assert abs(A[:m, :m] - sp.identity(m)).max() == 0.0
     assert abs(A[:m, m:] - dt * U).max() <= 1e-15
     assert abs(A[m:, :m] - U).max() == 0.0
 
@@ -187,16 +188,26 @@ def test_step_lagrange_constants():
     assert np.max(np.abs(f1.values - 2.0)) <= 1e-12
 
 
-@pytest.mark.parametrize("eps", [1.0, 1e-3, 0.0])
+GRID16 = make_grid2d(-3, 3, -3, 3, 16, 16)
+STAB16 = (GRID16.dx * GRID16.dy) ** 0.91
+# dt r^2 + eps r + s has a double root at eps = EPS16: complex roots below, real above
+EPS16 = 2.0 * np.sqrt(DT * STAB16)
+
+
+@pytest.mark.parametrize("eps", [1.0, 1e-3, 0.0, EPS16 * (1.0 - 1e-9), EPS16,
+                                 EPS16 * (1.0 + 1e-9), 5.0])
 def test_lagrange_step_matches_block_solve(eps):
-    # the stepper solves the M x M Schur complement; the f half of the
-    # 2M x 2M block solve is the reference
-    g = make_grid2d(-3, 3, -3, 3, 16, 16)
+    # the stepper solves the M x M Schur complement S through shifted
+    # factors of U and refines against S; the f half of the 2M x 2M block
+    # solve is the reference
+    g = GRID16
     rng = np.random.default_rng(5)
     f = Field2D(g, rng.standard_normal((g.nx - 1, g.ny - 1)))
     m = f.values.size
     stepper = LagrangeRotatingStepper(make_cfg("lagrange", eps, grid=g))
-    assert stepper.factor.matrix.shape == (m, m)
+    U = upwind_rotation_matrix(g)
+    S = DT * (U @ U) + eps * U + STAB16 * sp.identity(m, format="csr")
+    assert (stepper.factor.matrix != S).nnz == 0
     got = stepper.step(f)[0].values.ravel()
     rhs = np.concatenate([f.values.ravel(), np.zeros(m)])
     want = SparseFactor(assemble_lagrange_rot(g, eps, DT)).solve(rhs)[0][:m]
