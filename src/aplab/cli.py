@@ -20,7 +20,7 @@ def main(argv=None) -> int:
     run_p.add_argument("--out", default=None, metavar="DIR",
                        help="output directory (default: next to the config)")
     run_p.add_argument("--workers", type=int, default=1, metavar="N",
-                       help="parallel experiments for batch configs")
+                       help="parallel experiments (>= 1), capped at the batch size and CPUs")
 
     sub.add_parser("list-kinds", help="list available experiment kinds")
 

@@ -14,6 +14,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import shutil
 import sys
 import time as _time
@@ -614,13 +615,16 @@ def run_experiment(config_path: str, out_dir: str | None = None,
     message names it).
     """
     try:
+        if workers < 1:
+            raise ValueError(f"--workers must be >= 1, got {workers}")
         configs = load_configs(config_path)
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     out_base = Path(out_dir) if out_dir else Path(config_path).resolve().parent
+    workers = min(workers, len(configs), os.cpu_count() or 1)  # the pool forks them all at once
     try:
-        if workers > 1 and len(configs) > 1:
+        if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_execute_one, configs, [out_base] * len(configs)))
         else:

@@ -16,6 +16,7 @@ from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .aligned_schemes import _plain
 from .grid import Field2D, Grid2D
@@ -151,14 +152,19 @@ class _ShiftedFactor(SparseFactor):
     complex LU F of U - r1 Id, and the conj(r1) solve is conj(F^-1 conj(y)).
     Re r < 0 (r is imaginary at eps = 0) and the off-diagonal column sums of
     U equal its diagonal, so each U - r Id is column diagonally dominant and
-    ``SparseFactor`` keeps U's sparsity. S is never factored; ``solve``
-    refines against it.
+    ``SparseFactor`` keeps U's sparsity. S is never factored or stored: ``solve``
+    refines against its action through U; ``norm1`` is taken once, before the LUs.
     """
 
     def __init__(self, U: sp.csr_matrix, dt: float, eps: float, s: float):
         Id = sp.identity(U.shape[0], format="csr")
-        self.matrix = S = dt * (U @ U) + eps * U + s * Id
-        self.norm1 = float(abs(S).sum(axis=0).max())
+        self.norm1 = float(abs(dt * (U @ U) + eps * U + s * Id).sum(axis=0).max())
+
+        def apply_s(q: np.ndarray) -> np.ndarray:
+            Uq = U @ q
+            return dt * (U @ Uq) + eps * Uq + s * q
+
+        self.matrix = spla.LinearOperator(U.shape, matvec=apply_s, dtype=float)
         self.dt = dt
         c = 2.0 * np.sqrt(dt * s)  # double root at eps = c
         if eps >= c:  # sqrt((eps - c)(eps + c)) neither cancels nor overflows
@@ -166,7 +172,11 @@ class _ShiftedFactor(SparseFactor):
             shifts = (r1, s / (dt * r1))
         else:
             shifts = (complex(-eps, np.sqrt(c - eps) * np.sqrt(c + eps)) / (2.0 * dt),)
-        self._shifted = [SparseFactor(U - r * Id) for r in shifts]
+        self._shifted = []
+        for r in shifts:  # handed over in CSC, which splu takes without a copy
+            factor = SparseFactor((U - r * Id).tocsc())
+            del factor.matrix  # only raw-solved: frees U - r Id before the next LU
+            self._shifted.append(factor)
 
     def raw_solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
         # the factors commute, so the transposed solve takes the same order
@@ -181,8 +191,9 @@ class LagrangeRotatingStepper:
     """Multiplier scheme stepped through the Schur complement of ``assemble_lagrange_rot``.
 
     Each step solves (dt U^2 + eps U + s Id) q = U f^n, s = (dx dy)^gamma,
-    with ``_ShiftedFactor`` and sets f = f^n - dt U q. The column sums of U
-    vanish, so that update conserves mass whatever the q solve's residual.
+    with ``_ShiftedFactor``, which keeps only its shifted LUs and this U, and
+    sets f = f^n - dt U q. The column sums of U vanish, so that update
+    conserves mass whatever the q solve's residual.
     """
 
     initial = staticmethod(_plain)

@@ -270,6 +270,28 @@ def test_lagrange_mass_conserved():
         assert abs(s1.values.sum() - f0.values.sum()) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("scheme", [AlignedScheme.IMEX, AlignedScheme.MICRO_MACRO,
+                                    AlignedScheme.LAGRANGE])
+@pytest.mark.parametrize("eps,k,l", [(1.0, 1, 1), (1e-10, 1, 0), (1e-10, 2, 3)])
+def test_n_step_symbol(scheme, eps, k, l):
+    # the schemes are circulant in both directions, so N steps take the mode
+    # cos(phi i + theta j) to Re(xi^N e^{i(phi i + theta j)}), with the
+    # symbol xi = eps (1 - alpha (1 - e^{-i phi})) / (eps + beta (1 - e^{-i theta}));
+    # at l = 0 and eps = 1e-10 the exact eps of the smallest eigenvalue
+    # (d_lo in CyclicTridiag) is what keeps xi = 1 - alpha (1 - e^{-i phi}),
+    # and at l = 3 the stiff mode must decay without leaking into l = 0
+    n_steps = 1000
+    cfg = make_cfg(scheme, eps, a=1.0, b=1.0, dt=0.008, nx=9, ny=9,
+                   f_in=lambda x, y: np.cos(k * x + l * y))
+    final = run_aligned(cfg, n_steps).snapshots[-1][1].values
+    phi, theta = k * cfg.grid.dx, l * cfg.grid.dy
+    xi = (eps * (1.0 - cfg.alpha * (1.0 - np.exp(-1j * phi)))
+          / (eps + cfg.beta * (1.0 - np.exp(-1j * theta))))
+    phase = k * cfg.grid.x_nodes()[:, None] + l * cfg.grid.y_nodes()[None, :]
+    exact = np.abs(xi) ** n_steps * np.cos(phase + n_steps * np.angle(xi))
+    assert np.max(np.abs(final - exact)) <= 1e-13
+
+
 def test_run_zero_steps():
     cfg = make_cfg(AlignedScheme.IMEX, 1.0)
     result = run_aligned(cfg, 0)

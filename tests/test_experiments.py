@@ -447,6 +447,47 @@ def test_worker_pool_writes_the_same_bytes(tmp_path):
     assert len(files["w1"]) == 7 and files["w1"] == files["w2"]
 
 
+@pytest.mark.parametrize("workers,cpus,pool_size", [
+    (100_000, 64, 3), (100_000, 2, 2), (2, 64, 2), (100_000, None, None), (1, 64, None)])
+def test_worker_pool_is_capped(tmp_path, monkeypatch, workers, cpus, pool_size):
+    # the pool forks all its processes at the first submit, so it must not
+    # be sized by --workers alone; the stand-in maps in process
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+    batch = [dict(TINY_ALIGNED, name=name, nt=3) for name in ("a", "b", "c")]
+    assert run_experiment(write_config(tmp_path, batch), str(tmp_path / "out"),
+                          workers=workers) == 0
+    assert sizes == ([] if pool_size is None else [pool_size])
+    assert {p.name for p in (tmp_path / "out").iterdir()} == {"a", "b", "c"}
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_one_is_a_config_error(tmp_path, capsys, monkeypatch, workers):
+    def no_compute(*args):
+        raise AssertionError("an experiment ran")
+
+    monkeypatch.setattr(experiments, "_execute_one", no_compute)
+    cfg = write_config(tmp_path, TINY_ALIGNED)
+    assert main(["run", cfg, "--out", str(tmp_path / "out"), f"--workers={workers}"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "--workers" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_close_eps_get_their_own_files(tmp_path):
     # one-digit tags would name both 1em03 and overwrite one run with the other
     entry = dict(TINY_ALIGNED, nt=3, eps_list=[1e-3, 1.4e-3])

@@ -194,24 +194,41 @@ STAB16 = (GRID16.dx * GRID16.dy) ** 0.91
 EPS16 = 2.0 * np.sqrt(DT * STAB16)
 
 
+def _schur(g, eps):
+    U = upwind_rotation_matrix(g)
+    return DT * (U @ U) + eps * U + STAB16 * sp.identity(U.shape[0], format="csr")
+
+
 @pytest.mark.parametrize("eps", [1.0, 1e-3, 0.0, EPS16 * (1.0 - 1e-9), EPS16,
                                  EPS16 * (1.0 + 1e-9), 5.0])
 def test_lagrange_step_matches_block_solve(eps):
     # the stepper solves the M x M Schur complement S through shifted
-    # factors of U and refines against S; the f half of the 2M x 2M block
-    # solve is the reference
+    # factors of U and refines against S, applied through U; the f half of
+    # the 2M x 2M block solve is the reference
     g = GRID16
     rng = np.random.default_rng(5)
     f = Field2D(g, rng.standard_normal((g.nx - 1, g.ny - 1)))
     m = f.values.size
     stepper = LagrangeRotatingStepper(make_cfg("lagrange", eps, grid=g))
-    U = upwind_rotation_matrix(g)
-    S = DT * (U @ U) + eps * U + STAB16 * sp.identity(m, format="csr")
-    assert (stepper.factor.matrix != S).nnz == 0
+    v = rng.standard_normal(m)
+    Sv = _schur(g, eps) @ v
+    assert np.max(np.abs(stepper.factor.matrix @ v - Sv)) <= 1e-13 * np.max(np.abs(Sv))
     got = stepper.step(f)[0].values.ravel()
     rhs = np.concatenate([f.values.ravel(), np.zeros(m)])
     want = SparseFactor(assemble_lagrange_rot(g, eps, DT)).solve(rhs)[0][:m]
     assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1.0])  # a complex root pair, two real roots
+def test_lagrange_factor_keeps_no_sparse_matrix(eps):
+    # S is applied through the stepper's U, and each U - r Id is released
+    # once its LU exists; |S|_1 is still that of the assembled S
+    stepper = LagrangeRotatingStepper(make_cfg("lagrange", eps, grid=GRID16))
+    factor = stepper.factor
+    assert len(factor._shifted) == (1 if eps < EPS16 else 2)
+    for obj in (factor, *factor._shifted):
+        assert not any(sp.issparse(value) for value in vars(obj).values())
+    assert factor.norm1 == abs(_schur(GRID16, eps)).sum(axis=0).max()
 
 
 def test_lagrange_multiplier_vanishes_on_constants():
