@@ -2,13 +2,12 @@
 
 The quantitative layer on top of the schemes: L-infinity errors against the
 exact and limit solutions, log-log slope estimation with knee trimming,
-closed-form and measured Von Neumann amplification factors, and condition
-number sweeps over the stiffness parameter.
+von Neumann amplification factors in closed form and, for every mode at
+once, from one impulse step, and condition number sweeps over the
+stiffness parameter.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -21,7 +20,7 @@ from .rotating_schemes import RotatingScheme, assemble_imp, assemble_lagrange_ro
 
 __all__ = [
     "error_eta", "error_gamma",
-    "fit_loglog_slope", "xi_imex", "measure_xi", "cond_sweep",
+    "fit_loglog_slope", "xi_imex", "amplification_factors", "cond_sweep",
     "helmert_basis", "cond_family_aligned", "cond_family_rotating",
 ]
 
@@ -118,37 +117,20 @@ def xi_imex(alpha: float, beta: float, eps: float, k: int, l: int,
     return float(eps * np.sqrt(num / den))
 
 
-def measure_xi(scheme, cfg: AlignedSchemeConfig, k: int, l: int,
-               amplitude: float = 1.0) -> float:
-    """Measured one-step amplification modulus of mode (k, l).
+def amplification_factors(cfg: AlignedSchemeConfig) -> np.ndarray:
+    """Complex one-step amplification factor of every mode, from one impulse step.
 
-    Seeds the cosine and sine parts of the plane wave e^{i(k wx x + l wy y)}
-    separately (the schemes stay real-valued), performs one step on each,
-    and projects the recombined complex field back onto the mode. For the
-    constant-coefficient schemes here the mode is an exact eigenvector, so
-    the projection is contamination-free.
+    The aligned schemes are linear and shift-invariant on the periodic grid,
+    so one step of a unit impulse at node (0, 0) is the kernel of the step's
+    circular convolution, and its 2-D FFT is the step's symbol: entry
+    ``[k % (nx-1), l % (ny-1)]`` is xi(k, l), the factor of the mode
+    e^{i(k wx x + l wy y)}.
     """
-    if not isinstance(scheme, AlignedScheme):
-        scheme = AlignedScheme(scheme)
-    cfg = replace(cfg, scheme=scheme)
-    grid = cfg.grid
-    if 2 * abs(k) >= grid.nx or 2 * abs(l) >= grid.ny:
-        raise ValueError(
-            f"mode ({k}, {l}) not representable on a {grid.nx} x {grid.ny} grid")
-    x = grid.x_nodes()
-    y = grid.y_nodes()
-    phase = ((2.0 * np.pi / grid.lx) * k * x[:, None]
-             + (2.0 * np.pi / grid.ly) * l * y[None, :])
-
+    impulse = np.zeros((cfg.grid.nx - 1, cfg.grid.ny - 1))
+    impulse[0, 0] = 1.0
     stepper = make_aligned_stepper(cfg)
-
-    def one_step(values: np.ndarray) -> np.ndarray:
-        state, _ = stepper.step(stepper.initial(Field2D(grid, values)))
-        return state.field.values
-
-    w = one_step(amplitude * np.cos(phase)) + 1j * one_step(amplitude * np.sin(phase))
-    coeff = np.mean(w * np.exp(-1j * phase))
-    return float(np.abs(coeff) / amplitude)
+    state, _ = stepper.step(stepper.initial(Field2D(cfg.grid, impulse)))
+    return np.fft.fft2(state.field.values)
 
 
 def cond_sweep(matrix_family, eps_list) -> list:

@@ -27,8 +27,8 @@ import numpy as np
 from . import __version__
 from .aligned import AlignedModel, exact_aligned, ic_two_mode, limit_aligned
 from .aligned_schemes import (AlignedScheme, AlignedSchemeConfig, run_aligned)
-from .analysis import (cond_family_aligned, cond_family_rotating, cond_sweep,
-                       error_eta, error_gamma, fit_loglog_slope, measure_xi, xi_imex)
+from .analysis import (amplification_factors, cond_family_aligned, cond_family_rotating,
+                       cond_sweep, error_eta, error_gamma, fit_loglog_slope, xi_imex)
 from .grid import make_grid2d
 from .linalg import ConvergenceError, SingularMatrixError
 from .rotating import RotatingModel, circle_average, ic_gaussian
@@ -518,14 +518,22 @@ def _run_stability_scan(cfg: ExperimentConfig, out: Path) -> tuple:
     rows = []
     for alpha in p["alpha_list"]:
         # a = 1 fixed; dt = alpha * dx sets the advective ratio exactly
-        dt = float(alpha) * grid.dx
         model = AlignedModel(a=1.0, b=1.0, eps=p["eps"], f_in=ic_unit)
-        scfg = AlignedSchemeConfig(model, grid, dt, AlignedScheme.IMEX)
-        worst = max(measure_xi(AlignedScheme.IMEX, scfg, k, 0)
-                    for k in range(0, (grid.nx + 1) // 2))
-        rows.append((float(alpha), worst))
+        xi = amplification_factors(AlignedSchemeConfig(model, grid, float(alpha) * grid.dx))
+        rows.append((float(alpha), float(np.abs(xi[:(n + 1) // 2, 0]).max())))
     return ([_write_csv(out / "stability.csv", ["alpha", "max_xi"], rows)],
             ["plot \"stability.csv\" skip 1 using 1:2 with linespoints, 1.0"])
+
+
+def _xi_fourier(scfg: AlignedSchemeConfig, k: int, l: int) -> float:
+    """|xi| of the Fourier scheme: the upwind factor times |1 / (1 + i l b dt / eps)|,
+    or its real part alone at the Nyquist mode of an even ny - 1, which irfft reads."""
+    grid, eps = scfg.grid, scfg.model.eps
+    explicit = xi_imex(scfg.alpha, scfg.beta, eps, k, 0, grid.dx, grid.dy)
+    if l == 0 or eps == 0.0:
+        return explicit if l == 0 else 0.0
+    y = 1.0 / (1.0 + 1j * l * scfg.model.b * scfg.dt / eps)
+    return explicit * (y.real if 2 * abs(l) == grid.ny - 1 else abs(y))
 
 
 def _run_amplification_check(cfg: ExperimentConfig, out: Path) -> tuple:
@@ -537,15 +545,15 @@ def _run_amplification_check(cfg: ExperimentConfig, out: Path) -> tuple:
     rows = []
     for eps in p["eps_list"]:
         model = AlignedModel(a=a, b=1.0, eps=eps, f_in=ic_unit)
-        scfg = AlignedSchemeConfig(model, grid, dt, AlignedScheme.IMEX)
         for scheme in p["schemes"]:
-            for k in p["modes"]:
-                for l in p["modes"]:
-                    measured = measure_xi(AlignedScheme(scheme), scfg, int(k), int(l))
-                    formula = xi_imex(scfg.alpha, scfg.beta, eps, int(k), int(l),
-                                      grid.dx, grid.dy)
-                    rows.append((scheme, eps, int(k), int(l), measured, formula,
-                                 abs(measured - formula)))
+            scfg = AlignedSchemeConfig(model, grid, dt, scheme)
+            xi = np.abs(amplification_factors(scfg))
+            for k in map(int, p["modes"]):
+                for l in map(int, p["modes"]):
+                    measured = xi[k % (n - 1), l % (n - 1)]
+                    formula = (_xi_fourier(scfg, k, l) if scheme == "fourier" else
+                               xi_imex(scfg.alpha, scfg.beta, eps, k, l, grid.dx, grid.dy))
+                    rows.append((scheme, eps, k, l, measured, formula, abs(measured - formula)))
     path = _write_csv(out / "amplification.csv",
                       ["scheme", "eps", "k", "l", "measured", "formula", "abs_diff"], rows)
     return [path], ["plot \"amplification.csv\" skip 1 using 5:6 with points"]

@@ -54,15 +54,16 @@ def make_grid2d(x_min: float, x_max: float, y_min: float, y_max: float,
     """Build a periodic grid with ``nx`` x ``ny`` nodes (alias included).
 
     Spacings are ``dx = (x_max-x_min)/(nx-1)`` and likewise for ``dy``.
-    Raises ValueError for degenerate bounds or node counts below 3.
+    Raises ValueError for node counts below 3 and for bounds whose spacing
+    is not finite and > 0 (bounds a few ulps apart can give dx = 0).
     """
     if nx < 3 or ny < 3:
         raise ValueError(f"invalid dimension: need nx >= 3 and ny >= 3, got {nx} x {ny}")
-    if not (x_max > x_min) or not (y_max > y_min):
-        raise ValueError("invalid dimension: domain bounds must satisfy "
-                         f"x_max > x_min and y_max > y_min, got [{x_min}, {x_max}] x [{y_min}, {y_max}]")
     dx = (x_max - x_min) / (nx - 1)
     dy = (y_max - y_min) / (ny - 1)
+    if not (0.0 < dx < np.inf and 0.0 < dy < np.inf):
+        raise ValueError(f"invalid dimension: spacings dx = {dx}, dy = {dy} of "
+                         f"[{x_min}, {x_max}] x [{y_min}, {y_max}] must be finite and > 0")
     return Grid2D(float(x_min), float(x_max), float(y_min), float(y_max),
                   int(nx), int(ny), dx, dy)
 

@@ -123,6 +123,10 @@ def assemble_lagrange_rot(grid: Grid2D, eps: float, dt: float,
     which is <= 1 for every near-real mode. The opposite sign puts
     isolated near-real modes of U in resonance (dt lam^2 ~ s) and the
     step amplifies them without bound.
+    The stable band is measured, not proven: with lam = a + ib, the
+    near-imaginary modes resonate when dt b^2 ~ s. At dt ~ dx/2 on 21^2 to
+    61^2 grids the largest factor is 1 for s/dt <= 0.50 and above 1 for
+    s/dt >= 0.53; acceptance criterion 9 runs at s/dt = 0.587.
     """
     U = upwind_rotation_matrix(grid)
     M = U.shape[0]
@@ -194,6 +198,10 @@ class LagrangeRotatingStepper:
     with ``_ShiftedFactor``, which keeps only its shifted LUs and this U, and
     sets f = f^n - dt U q. The column sums of U vanish, so that update
     conserves mass whatever the q solve's residual.
+    Its stable band is measured, not proven: with lam = a + ib an eigenvalue
+    of U, the near-imaginary modes resonate when dt b^2 ~ s. At dt ~ dx/2 on
+    21^2 to 61^2 grids the largest growth factor is 1 for s/dt <= 0.50 and
+    above 1 for s/dt >= 0.53; acceptance criterion 9 runs at s/dt = 0.587.
     """
 
     initial = staticmethod(_plain)

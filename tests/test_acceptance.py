@@ -13,7 +13,7 @@ import pytest
 
 from aplab.aligned import AlignedModel, exact_aligned, ic_two_mode, limit_aligned
 from aplab.aligned_schemes import AlignedScheme, AlignedSchemeConfig, run_aligned
-from aplab.analysis import error_eta, error_gamma, measure_xi, xi_imex
+from aplab.analysis import amplification_factors, error_eta, error_gamma, xi_imex
 from aplab.experiments import run_experiment
 from aplab.grid import make_grid2d
 from aplab.linalg import (CyclicTridiag, SingularMatrixError, SparseFactor,
@@ -55,7 +55,10 @@ def run_config(tmp_path, entry, sub):
 def test_criterion_01_von_neumann_exactness(verdict):
     t0 = time.perf_counter()
     rng = np.random.default_rng(20260822)
-    worst = 0.0
+    # every mode of the 64 x 64 grid, as the phase steps (phi, theta) per cell
+    phi = 2.0 * np.pi * np.fft.fftfreq(63)[:, None]
+    theta = 2.0 * np.pi * np.fft.fftfreq(63)[None, :]
+    worst = worst_symbol = 0.0
     for _ in range(50):
         k = int(rng.integers(-31, 32))
         l = int(rng.integers(-31, 32))
@@ -65,27 +68,27 @@ def test_criterion_01_von_neumann_exactness(verdict):
         dt = alpha * GRID64.dx
         b = beta * GRID64.dy / dt
         model = AlignedModel(a=1.0, b=b, eps=eps, f_in=ic_two_mode)
-        cfg = AlignedSchemeConfig(model, GRID64, dt, AlignedScheme.IMEX)
-        meas = measure_xi(AlignedScheme.IMEX, cfg, k, l)
+        xi = amplification_factors(AlignedSchemeConfig(model, GRID64, dt, AlignedScheme.IMEX))
         form = xi_imex(alpha, beta, eps, k, l, GRID64.dx, GRID64.dy)
-        worst = max(worst, abs(meas - form))
+        worst = max(worst, abs(abs(xi[k % 63, l % 63]) - form))
+        symbol = (eps * (1.0 - alpha * (1.0 - np.exp(-1j * phi)))
+                  / (eps + beta * (1.0 - np.exp(-1j * theta))))
+        worst_symbol = max(worst_symbol, float(np.abs(xi - symbol).max()))
     wall = time.perf_counter() - t0
-    verdict(1, worst <= 1e-10 and wall < 10.0,
-           f"measured amplification matches the closed form on 50 random "
-           f"modes (worst {worst:.1e}, {wall:.1f} s)")
+    verdict(1, worst <= 1e-10 and worst_symbol <= 1e-10 and wall < 10.0,
+           f"impulse amplification matches the closed form on 50 random modes "
+           f"(worst {worst:.1e}) and the complex symbol on every mode "
+           f"(worst {worst_symbol:.1e}, {wall:.1f} s)")
 
 
 def test_criterion_02_cfl_sharpness(verdict):
     model = AlignedModel(a=1.0, b=1.0, eps=1.0, f_in=ic_two_mode)
     cfg_at = AlignedSchemeConfig(model, GRID64, 1.0 * GRID64.dx, AlignedScheme.IMEX)
-    # sign symmetry of the modulus in k and l covers the negative modes
-    worst_at = max(measure_xi(AlignedScheme.IMEX, cfg_at, k, l)
-                   for k in range(32) for l in range(32))
+    worst_at = float(np.abs(amplification_factors(cfg_at)).max())
     cfg_over = AlignedSchemeConfig(model, GRID64, 1.05 * GRID64.dx, AlignedScheme.IMEX)
-    max_over = max(measure_xi(AlignedScheme.IMEX, cfg_over, k, 0)
-                   for k in range(32))
+    max_over = float(np.abs(amplification_factors(cfg_over)[:, 0]).max())
     verdict(2, worst_at <= 1.0 + 1e-12 and max_over > 1.0,
-           f"stable at alpha = 1 (max {worst_at - 1.0:+.1e} above 1), "
+           f"stable at alpha = 1 on every mode (max {worst_at - 1.0:+.1e} above 1), "
            f"unstable at alpha = 1.05 (max {max_over:.4f})")
 
 

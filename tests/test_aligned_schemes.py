@@ -75,21 +75,6 @@ def test_imex_huge_eps_is_explicit_upwind():
     assert np.max(np.abs(f1.values - np.roll(f0.values, 1, axis=0))) <= 1e-9
 
 
-def test_imex_plane_wave_amplification():
-    cfg = make_cfg(AlignedScheme.IMEX, 0.7, a=2.5, b=3.0, dt=0.02, nx=65, ny=33)
-    k, l = 3, 2
-    phase = lambda x, y: k * x + l * y
-    f_cos = sample(cfg.grid, lambda x, y: np.cos(phase(x, y)))
-    f_sin = sample(cfg.grid, lambda x, y: np.sin(phase(x, y)))
-    stepper = ImexStepper(cfg)
-    W1 = stepper.step(f_cos)[0].values + 1j * stepper.step(f_sin)[0].values
-    alpha, beta, eps = cfg.alpha, cfg.beta, cfg.model.eps
-    num = 1.0 - 4.0 * alpha * (1.0 - alpha) * np.sin(k * cfg.grid.dx / 2.0) ** 2
-    den = eps ** 2 + 4.0 * beta * (eps + beta) * np.sin(l * cfg.grid.dy / 2.0) ** 2
-    xi = eps * np.sqrt(num / den)
-    assert np.max(np.abs(np.abs(W1) - xi)) <= 1e-10
-
-
 def test_imex_mass_conserved():
     for eps in (1.0, 1e-4):
         cfg = make_cfg(AlignedScheme.IMEX, eps)

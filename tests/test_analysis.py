@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from aplab.aligned import AlignedModel, exact_aligned, ic_two_mode, limit_aligned
-from aplab.aligned_schemes import AlignedSchemeConfig, run_aligned
+from aplab.aligned_schemes import AlignedScheme, AlignedSchemeConfig, run_aligned
 from aplab.analysis import (
+    amplification_factors,
     cond_family_aligned,
     cond_family_rotating,
     cond_sweep,
@@ -14,7 +15,6 @@ from aplab.analysis import (
     error_gamma,
     fit_loglog_slope,
     helmert_basis,
-    measure_xi,
     xi_imex,
 )
 from aplab.grid import Field2D, make_grid2d, sample
@@ -146,44 +146,43 @@ def test_xi_imex_closed_form_limits():
     assert xi_imex(0.5, 1.0, 0.3, 4, 2, 0.1, 0.1) == xi_imex(0.5, 1.0, 0.3, -4, 2, 0.1, 0.1)
 
 
-@pytest.mark.parametrize("a,b,dt,eps,k,l", [
-    (0.1, 1.0, 0.01, 0.7, 3, 2),
-    (2.5, 3.0, 0.02, 1e-3, 5, 7),
-    (0.5, 0.2, 0.03, 1.0, 1, 0),
-])
-def test_measure_xi_matches_closed_form(a, b, dt, eps, k, l):
-    cfg = imex_cfg(a=a, b=b, dt=dt, eps=eps)
-    alpha = a * dt / GRID64.dx
-    beta = b * dt / GRID64.dy
-    closed = xi_imex(alpha, beta, eps, k, l, GRID64.dx, GRID64.dy)
-    assert abs(measure_xi("imex", cfg, k, l) - closed) <= 1e-10
-    # the multiplier and micro-macro reformulations step f identically
-    assert abs(measure_xi("lagrange", cfg, k, l) - closed) <= 1e-10
-    assert abs(measure_xi("micro-macro", cfg, k, l) - closed) <= 1e-10
+def closed_form_symbol(cfg):
+    """Complex one-step symbol of ``cfg.scheme`` at every mode, indexed as
+    ``amplification_factors`` indexes it: the upwind factor 1 - alpha (1 - e^{-i phi})
+    times eps / (eps + beta (1 - e^{-i theta})) for the IMEX family, and times
+    1 / (1 + i l b dt / eps) for Fourier, whose real FFT keeps only the real part
+    of that at the Nyquist mode of an even ny - 1. At eps = 0 every scheme keeps
+    only the column means."""
+    g, eps = cfg.grid, cfg.model.eps
+    k = np.fft.fftfreq(g.nx - 1, 1.0 / (g.nx - 1))[:, None]
+    l = np.fft.fftfreq(g.ny - 1, 1.0 / (g.ny - 1))[None, :]
+    upwind = 1.0 - cfg.alpha * (1.0 - np.exp(-1j * k * g.dx))
+    if eps == 0.0:
+        return upwind * (l == 0)
+    if cfg.scheme is AlignedScheme.FOURIER:
+        y = 1.0 / (1.0 + 1j * l * cfg.model.b * cfg.dt / eps)
+        return upwind * np.where(2 * np.abs(l) == g.ny - 1, y.real, y)
+    return upwind * eps / (eps + cfg.beta * (1.0 - np.exp(-1j * l * g.dy)))
 
 
-def test_measure_xi_fourier():
-    a, b, dt, eps, k, l = 0.1, 1.0, 0.01, 0.7, 3, 2
-    cfg = imex_cfg(a=a, b=b, dt=dt, eps=eps)
-    alpha = a * dt / GRID64.dx
-    explicit = np.sqrt(1.0 - 4.0 * alpha * (1.0 - alpha) * np.sin(0.5 * k * GRID64.dx) ** 2)
-    pred = explicit / abs(1.0 + 1j * l * b * dt / eps)
-    assert measure_xi("fourier", cfg, k, l) == pytest.approx(pred, abs=1e-12)
+# (nx, ny, a, b, dt): a non-square grid with even nx - 1 and ny - 1, whose
+# Nyquist modes the Fourier scheme treats apart, and a 64 x 64 one with odd ones
+SYMBOL_GRIDS = {"65x33": (65, 33, 2.5, 3.0, 0.02), "64x64": (64, 64, 0.1, 1.0, 0.01)}
+SYMBOL_CASES = [pytest.param(shape, scheme, eps, id=f"{shape}-{scheme.value}-eps{eps:g}")
+                for shape in SYMBOL_GRIDS for scheme in AlignedScheme
+                for eps in (1.0, 1e-3, 0.0)
+                if not (scheme is AlignedScheme.IMEX and eps == 0.0)]  # singular there
 
 
-def test_measure_xi_amplitude_invariance():
-    cfg = imex_cfg(eps=0.5)
-    v1 = measure_xi("imex", cfg, 4, 5, amplitude=1.0)
-    v2 = measure_xi("imex", cfg, 4, 5, amplitude=1e-6)
-    assert abs(v1 - v2) <= 1e-10
-
-
-def test_measure_xi_rejects_unrepresentable_mode():
-    cfg = imex_cfg()
-    with pytest.raises(ValueError, match="not representable"):
-        measure_xi("imex", cfg, 32, 0)
-    with pytest.raises(ValueError, match="not representable"):
-        measure_xi("imex", cfg, 0, -40)
+@pytest.mark.parametrize("shape,scheme,eps", SYMBOL_CASES)
+def test_amplification_factors_match_symbol(shape, scheme, eps):
+    nx, ny, a, b, dt = SYMBOL_GRIDS[shape]
+    grid = make_grid2d(0.0, 2.0 * np.pi, 0.0, 2.0 * np.pi, nx, ny)
+    cfg = AlignedSchemeConfig(AlignedModel(a=a, b=b, eps=eps, f_in=ic_two_mode), grid, dt,
+                              scheme)
+    xi = amplification_factors(cfg)
+    assert xi.shape == (nx - 1, ny - 1)
+    assert np.max(np.abs(xi - closed_form_symbol(cfg))) <= 1e-12
 
 
 def test_cond_sweep_identity_family():

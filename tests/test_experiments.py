@@ -6,6 +6,7 @@ import io
 import json
 import math
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aplab import experiments
+from aplab.aligned_schemes import AlignedScheme
 from aplab.cli import main
 from aplab.experiments import (
     EXPERIMENT_KINDS,
@@ -22,6 +24,7 @@ from aplab.experiments import (
     run_experiment,
 )
 from aplab.grid import Field2D, make_grid2d
+from aplab.rotating_schemes import RotatingScheme
 
 FLOAT_RE = re.compile(r"-?\d\.\d{16}e[+-]\d{2,3}$")
 
@@ -278,6 +281,53 @@ def test_config_fuzz_constructs_or_raises_value_error(data):
         ExperimentConfig(kind, params)
     except ValueError:
         pass
+
+
+# upper bounds that keep a generated run to milliseconds; every size is drawn
+FUZZ_CAPS = {"nx": 9, "ny": 9, "n": 9, "rot_n": 9, "nt": 5}
+
+
+def rule_values(key):
+    """Values that ``experiments._RULES[key]`` admits, within the fuzz caps."""
+    rule = experiments._RULES[key]
+    if isinstance(rule, tuple):
+        return st.sampled_from(rule)
+    if rule.integer:
+        low = -4 if rule.low is None else int(rule.low)
+        return st.integers(low, FUZZ_CAPS.get(key, low + 8))
+    low = -10.0 if rule.low is None else rule.low
+    return st.floats(low, 10.0, exclude_min=rule.strict)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_config_fuzz_runs_end_to_end(data):
+    # convergence takes its step counts from its sweep setups, not the config
+    kind = data.draw(st.sampled_from([k for k in EXPERIMENT_KINDS if k != "convergence"]))
+    entry = {"kind": kind, "name": "fuzz"}
+    for key, default in default_params(kind).items():
+        if key == "schemes":
+            names = [s.value for s in
+                     (RotatingScheme if kind == "rotating-run" else AlignedScheme)]
+            drawn = st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True)
+        elif isinstance(default, list):
+            drawn = st.lists(rule_values(key), min_size=1, max_size=3)
+        else:
+            drawn = rule_values(key)
+        entry[key] = data.draw(drawn if key in FUZZ_CAPS else st.just(default) | drawn)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        code = run_experiment(write_config(Path(tmp), entry), str(out))
+        assert code in (0, 1, 2)
+        # a failed run leaves nothing behind, not even its .fuzz.partial directory
+        left = sorted(p.name for p in out.iterdir()) if out.exists() else []
+        assert left == (["fuzz"] if code == 0 else [])
+        if code == 0:
+            manifest = json.loads((out / "fuzz" / "manifest.json").read_text())
+            listed = {o["path"]: o["sha256"] for o in manifest["outputs"]}
+            on_disk = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                       for p in (out / "fuzz").iterdir() if p.name != "manifest.json"}
+            assert listed == on_disk
 
 
 TINY_ALIGNED = {"kind": "aligned-run", "name": "tiny", "nx": 17, "ny": 17,
@@ -548,13 +598,14 @@ def test_cond_sweep_outputs(tmp_path):
 
 
 def test_amplification_check_outputs(tmp_path):
-    entry = {"kind": "amplification-check", "name": "amp", "n": 16,
-             "modes": [0, 3], "eps_list": [1.0], "schemes": ["imex"]}
+    # 8 is the Nyquist mode of the 16 stored nodes, where Fourier keeps Re(xi)
+    entry = {"kind": "amplification-check", "name": "amp", "n": 17, "modes": [0, 3, 8],
+             "eps_list": [1.0, 1e-3], "schemes": ["imex", "fourier", "micro-macro", "lagrange"]}
     cfg = write_config(tmp_path, entry)
     assert run_experiment(cfg, str(tmp_path / "out")) == 0
     lines = (tmp_path / "out" / "amp" / "amplification.csv").read_text().splitlines()
     assert lines[0] == "scheme,eps,k,l,measured,formula,abs_diff"
-    assert len(lines) == 1 + 4
+    assert len(lines) == 1 + 4 * 2 * 9
     for line in lines[1:]:
         assert float(line.split(",")[-1]) <= 1e-10
 

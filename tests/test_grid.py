@@ -32,6 +32,11 @@ def test_make_grid2d_rejects_bad_counts_and_bounds():
         make_grid2d(1.0, 1.0, 0.0, 1.0, 3, 3)
     with pytest.raises(ValueError):
         make_grid2d(0.0, 1.0, 2.0, 1.0, 3, 3)
+    # bounds a few ulps apart, or too far apart, give no usable spacing
+    with pytest.raises(ValueError, match="spacings"):
+        make_grid2d(0.0, 5e-324, 0.0, 1.0, 3, 3)
+    with pytest.raises(ValueError, match="spacings"):
+        make_grid2d(0.0, 1.0, -1e308, 1e308, 3, 3)
 
 
 def test_node_coordinates():

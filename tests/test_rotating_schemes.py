@@ -285,6 +285,43 @@ def test_lagrange_transient_peak_pinned():
     assert peak == pytest.approx(1.01729618687575, abs=1e-8)
 
 
+GRID21 = make_grid2d(-3, 3, -3, 3, 21, 21)
+
+
+@pytest.fixture(scope="module")
+def grid21_upwind_eigenvalues():
+    return np.linalg.eigvals(upwind_rotation_matrix(GRID21).toarray())
+
+
+@pytest.mark.parametrize("gamma, rho_expected", [(0.91, 1.9143), (1.2, 1.0)])
+def test_lagrange_growth_matches_spectral_radius(grid21_upwind_eigenvalues, gamma,
+                                                 rho_expected):
+    # the step is G = (eps U + s Id)(dt U^2 + eps U + s Id)^-1, a rational
+    # function of U, so rho(G) is the largest |(eps mu + s) / (dt mu^2 + eps mu + s)|
+    # over the eigenvalues mu of U; s/dt = 0.78 (gamma = 0.91) lies in the
+    # unstable band, s/dt = 0.39 (gamma = 1.2) below it, where the kernel of U
+    # gives rho(G) = 1
+    dt, eps = 1.0 / 7.0, 1e-4
+    s = (GRID21.dx * GRID21.dy) ** gamma
+    mu = grid21_upwind_eigenvalues
+    rho = float(np.max(np.abs((eps * mu + s) / (dt * mu ** 2 + eps * mu + s))))
+    assert rho == pytest.approx(rho_expected, rel=1e-4 if rho_expected > 1.0 else 1e-12)
+    # power iteration; U is non-normal, so only the tail is fitted
+    stepper = LagrangeRotatingStepper(make_cfg("lagrange", eps, dt=dt, grid=GRID21, gamma=gamma))
+    f = Field2D(GRID21, np.random.default_rng(7).standard_normal((20, 20)))
+    log_growth = []
+    for _ in range(300):
+        g = stepper.step(f)[0].values
+        norm = np.linalg.norm(g)
+        log_growth.append(np.log(norm / np.linalg.norm(f.values)))
+        f = f.with_values(g / norm)
+    tail = float(np.exp(np.mean(log_growth[-100:])))
+    if rho > 1.0:
+        assert tail == pytest.approx(rho, rel=1e-3)
+    else:
+        assert tail <= 1.0 + 1e-9
+
+
 @pytest.mark.parametrize("eps, scheme", [(1.0, "imp"), (1.0, "lagrange"), (1e-4, "imp"),
                                          (1e-4, "lagrange"), (0.0, "lagrange")])
 def test_mass_drift_hundred_steps(eps, scheme):
