@@ -16,7 +16,7 @@ import numpy as np
 
 from .aligned import AlignedModel, y_average
 from .grid import Field2D, Grid2D
-from .linalg import CyclicTridiag, SolveStats, SparseFactor, assemble, solve_cyclic
+from .linalg import CyclicTridiag, SolveStats, SparseFactor, _max_abs, assemble, solve_cyclic
 from .results import RunResult, run_steps
 
 __all__ = [
@@ -80,8 +80,8 @@ class MicroMacroState:
         if H.shape != (self.h.grid.nx - 1,):
             raise ValueError(f"macro part has shape {H.shape}, expected ({self.h.grid.nx - 1},)")
         object.__setattr__(self, "H", H)
-        drift = np.max(np.abs(self.h.values.mean(axis=1)))
-        scale = max(1.0, float(np.max(np.abs(self.h.values), initial=0.0)))
+        drift = _max_abs(self.h.values.mean(axis=1))
+        scale = max(1.0, _max_abs(self.h.values))
         if drift > 1e-10 * scale:
             raise ValueError(f"fluctuation column means are off zero by {drift:.3e}")
 
@@ -99,12 +99,17 @@ class MicroMacroState:
         return float(ny1 * self.H.sum() + self.h.values.sum())
 
 
-def upwind_x(values: np.ndarray, alpha: float) -> np.ndarray:
-    """Explicit first-order upwind step along axis 0 (orientation a >= 0)."""
+def upwind_x(values: np.ndarray, alpha: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Explicit first-order upwind step along axis 0 (orientation a >= 0).
+
+    Written into ``out`` when given, which must not overlap ``values``;
+    returns the result either way.
+    """
+    diff = np.empty_like(values, dtype=np.result_type(values, alpha)) if out is None else out
     if alpha == 0.0:
-        return values.copy()
+        diff[...] = values
+        return diff
     # values - alpha * (values - roll(values, 1)), without roll's temporaries
-    diff = np.empty_like(values, dtype=np.result_type(values, alpha))
     np.subtract(values[1:], values[:-1], out=diff[1:])
     np.subtract(values[:1], values[-1:], out=diff[:1])
     diff *= alpha
@@ -113,7 +118,10 @@ def upwind_x(values: np.ndarray, alpha: float) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # steppers (one instance per run, factorizations cached); ``initial`` turns
-# the sampled field into the scheme's state
+# the sampled field into the scheme's state. A stepper keeps its work
+# buffers for its run and makes them at its first step, after any
+# factorization: freed and made again every step, arrays this size go back
+# to the system and are faulted in anew (see the README).
 
 
 def _plain(f0: Field2D) -> Field2D:
@@ -130,13 +138,18 @@ class ImexStepper:
         # eigenvalue (exactly eps) by u * beta, which swamps small eps
         self.matrix = CyclicTridiag.from_sum(cfg.grid.ny - 1, eps, cfg.beta,
                                              -cfg.beta)
+        self._rhs = None
+
+    def solve(self, values: np.ndarray) -> np.ndarray:
+        """The values one step after ``values``, as a fresh array."""
+        cfg = self.cfg
+        self._rhs = rhs = upwind_x(values, cfg.alpha, out=self._rhs)
+        rhs *= cfg.model.eps
+        return solve_cyclic(self.matrix, rhs.T).T
 
     def step(self, f: Field2D) -> tuple[Field2D, SolveStats]:
-        cfg = self.cfg
-        rhs = cfg.model.eps * upwind_x(f.values, cfg.alpha)
-        sol = solve_cyclic(self.matrix, rhs.T).T
         # solve_cyclic keeps no statistics, so the step reports none
-        return f.with_values(sol), SolveStats(0.0, 0)
+        return f.with_values(self.solve(f.values)), SolveStats(0.0, 0)
 
 
 class FourierStepper:
@@ -154,10 +167,14 @@ class FourierStepper:
             self.factor = 1.0 / (1.0 + 1j * omega_y * ks * cfg.model.b * cfg.dt / eps)
         else:
             self.factor = (ks == 0).astype(complex)
+        self._spectrum = self._coeffs = self._values = None
 
     def step(self, f: Field2D) -> tuple[Field2D, SolveStats]:
-        coeffs = upwind_x(np.fft.rfft(f.values, axis=1), self.cfg.alpha) * self.factor
-        return f.with_values(np.fft.irfft(coeffs, n=self.m, axis=1)), SolveStats(0.0, 0)
+        self._spectrum = np.fft.rfft(f.values, axis=1, out=self._spectrum)
+        self._coeffs = coeffs = upwind_x(self._spectrum, self.cfg.alpha, out=self._coeffs)
+        coeffs *= self.factor
+        self._values = np.fft.irfft(coeffs, n=self.m, axis=1, out=self._values)
+        return f.with_values(self._values), SolveStats(0.0, 0)
 
 
 class MicroMacroStepper:
@@ -171,12 +188,12 @@ class MicroMacroStepper:
         cfg = self.cfg
         H_new = upwind_x(s.H, cfg.alpha)
         if self.inner is None:
-            h_vals = np.zeros_like(s.h.values)
+            h = np.zeros_like(s.h.values)
         else:
-            h_new, _ = self.inner.step(s.h)
+            h = self.inner.solve(s.h.values)
             # re-projection removes roundoff drift; exact step keeps mean zero
-            h_vals = h_new.values - h_new.values.mean(axis=1)[:, None]
-        return MicroMacroState(H_new, s.h.with_values(h_vals)), SolveStats(0.0, 0)
+            h -= h.mean(axis=1)[:, None]
+        return MicroMacroState(H_new, s.h.with_values(h)), SolveStats(0.0, 0)
 
 
 def aligned_lagrange_matrix(m: int, beta: float, eps: float):
@@ -211,13 +228,16 @@ class LagrangeAlignedStepper:
         m = cfg.grid.ny - 1
         self.m = m
         self.factor = SparseFactor(aligned_lagrange_matrix(m, cfg.beta, cfg.model.eps))
+        self._rhs = None
 
     def step(self, f: Field2D) -> tuple[Field2D, SolveStats]:
         cfg = self.cfg
         m = self.m
-        rhs = np.zeros((2 * m, cfg.grid.nx - 1))
-        rhs[:m] = upwind_x(f.values, cfg.alpha).T
-        sol, stats = self.factor.solve(rhs)
+        if self._rhs is None:
+            # the multiplier half of the right-hand side stays zero
+            self._rhs = np.zeros((2 * m, cfg.grid.nx - 1))
+        upwind_x(f.values, cfg.alpha, out=self._rhs[:m].T)
+        sol, stats = self.factor.solve(self._rhs)
         # the multiplier half sol[m:] is not carried to the next step
         return f.with_values(sol[:m].T), stats
 

@@ -41,33 +41,44 @@ def _two_sum(a: float, b: float) -> tuple:
     return hi, (a - (hi - bb)) + (b - bb)
 
 
-def _split(x):
-    """Dekker's split x = hi + lo into two 26-bit halves."""
-    hi = _DEKKER * x
-    hi -= hi - x
-    return hi, x - hi
+def _split(a: float) -> tuple:
+    """Dekker's split a = hi + lo of a scalar into two 26-bit halves."""
+    hi = _DEKKER * a
+    hi -= hi - a
+    return hi, a - hi
 
 
-def _two_prod(a: float, x: np.ndarray, x_split: tuple):
-    """Exact product a*x = p + e in working precision; x_split is _split(x)."""
-    (ah, al), (xh, xl) = _split(a), x_split
-    p = a * x
-    e = ah * xh - p
-    e += ah * xl
-    e += al * xh
-    e += al * xl
-    return p, e
+def _split_into(x: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> None:
+    """Dekker's split x = hi + lo of an array, written into hi and lo."""
+    np.multiply(_DEKKER, x, out=hi)
+    np.subtract(hi, x, out=lo)
+    hi -= lo
+    np.subtract(x, hi, out=lo)
 
 
-def _two_diff(a: np.ndarray, b: np.ndarray):
-    """Exact difference a - b = s + err (Knuth's TwoSum of a and -b)."""
-    s = a - b
-    bb = s - a
-    err = s - bb
+def _two_prod(a: float, x: np.ndarray, xh: np.ndarray, xl: np.ndarray,
+              p: np.ndarray, e: np.ndarray, tmp: np.ndarray) -> None:
+    """Exact product a*x = p + e in working precision, written into p and e;
+    (xh, xl) is the split of x and tmp a scratch array."""
+    ah, al = _split(a)
+    np.multiply(a, x, out=p)
+    np.multiply(ah, xh, out=e)
+    e -= p
+    for c, y in ((ah, xl), (al, xh), (al, xl)):
+        np.multiply(c, y, out=tmp)
+        e += tmp
+
+
+def _two_diff(a: np.ndarray, b: np.ndarray, s: np.ndarray, err: np.ndarray,
+              tmp: np.ndarray) -> None:
+    """Exact difference a - b = s + err (Knuth's TwoSum of a and -b), written
+    into s and err, neither of which may overlap a or b; tmp is scratch."""
+    np.subtract(a, b, out=s)
+    np.subtract(s, a, out=tmp)
+    np.subtract(s, tmp, out=err)
     np.subtract(a, err, out=err)
-    bb += b
-    err -= bb
-    return s, err
+    tmp += b
+    err -= tmp
 
 
 def _max_abs(a: np.ndarray) -> float:
@@ -75,9 +86,8 @@ def _max_abs(a: np.ndarray) -> float:
     return max(a.max(initial=0.0), -a.min(initial=0.0))
 
 
-def _shift_down(a: np.ndarray) -> np.ndarray:
-    """Rows moved down by one, cyclically: out[j] = a[j - 1]."""
-    out = np.empty_like(a)
+def _shift_down(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Rows moved down by one, cyclically, into out: out[j] = a[j - 1]."""
     out[1:] = a[:-1]
     out[:1] = a[-1:]
     return out
@@ -139,24 +149,38 @@ class CyclicTridiag:
                         np.concatenate([j, j[:-1], [self.n - 1]]),
                         np.concatenate([np.full(self.n, self.d), np.full(self.n, self.s)]))
 
-    @functools.cached_property
-    def _factor(self) -> "SparseFactor":
-        """``SparseFactor`` of ``to_sparse()``, built on the first solve.
-
-        Raises SingularMatrixError when a pivot of the elimination along the
-        cycle, d or d + s (-s/d)^(n-1), breaks down; errors are not cached.
-        """
+    def check_pivots(self) -> None:
+        """Raise SingularMatrixError when a pivot of the elimination along the
+        cycle, d or d + s (-s/d)^(n-1), breaks down (magnitude < 1e-30).
+        Closed form: nothing is factored."""
         d, s = self.d, self.s
         if abs(d) < PIVOT_BREAKDOWN:
             raise SingularMatrixError(f"singular matrix: diagonal pivot {float(d)}")
         if self.n == 1 and abs(d + s) < PIVOT_BREAKDOWN:
             raise SingularMatrixError("singular matrix: 1x1 cyclic system")
-        closure = d + s * np.prod(np.full(self.n - 1, -s / d))
+        closure = d + s * np.float64(-s / d) ** (self.n - 1)
         if not np.isfinite(closure) or abs(closure) < PIVOT_BREAKDOWN:
             raise SingularMatrixError(
                 f"singular matrix: cyclic closure pivot {float(closure)} "
                 f"(d={float(d)}, s={float(s)})")
+
+    @functools.cached_property
+    def _factor(self) -> "SparseFactor":
+        """``SparseFactor`` of ``to_sparse()``, built on the first solve once
+        ``check_pivots`` passes; errors are not cached."""
+        self.check_pivots()
         return SparseFactor(self.to_sparse())
+
+    def _work(self, shape: tuple) -> "_CyclicWork":
+        """``solve_cyclic``'s buffers for right-hand sides of ``shape``, made at
+        the first solve of that shape and kept for the next. They live and
+        die with this matrix, which a stepper keeps for its run: a step that
+        allocates them afresh makes glibc return them to the system and
+        fault them in again on every step."""
+        work = self.__dict__.get("_work_buffers")
+        if work is None or work.shape != shape:
+            work = self.__dict__["_work_buffers"] = _CyclicWork(shape)
+        return work
 
     @functools.cached_property
     def _one_pass(self) -> bool:
@@ -170,32 +194,65 @@ class CyclicTridiag:
         return bool(rho <= ONE_PASS_K * _ULP)
 
 
-def _cyclic_residual(M: CyclicTridiag, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """rhs - d*x - s*x_{j-1} (cyclic) with compensated products and sums.
+class _CyclicWork:
+    """Work buffers of ``solve_cyclic`` for one right-hand-side shape: the
+    residual, and the seven block temporaries of ``_cyclic_residual``.
+
+    Column-major, like the solutions ``SparseFactor.raw_solve`` returns, so
+    that column blocks are contiguous. A batch of more than one column and
+    more than ``_RESIDUAL_BLOCK`` entries is worked in blocks of
+    ``_RESIDUAL_BLOCK // n`` columns (at least one), which keeps the
+    temporaries in cache.
+    """
+
+    def __init__(self, shape: tuple):
+        self.shape = shape
+        n, k = shape[0], (shape[1] if len(shape) == 2 else 1)
+        blocked = len(shape) == 2 and k > 1 and n * k > _RESIDUAL_BLOCK
+        self.width = max(1, _RESIDUAL_BLOCK // n) if blocked else max(k, 1)
+        self.residual = np.empty(shape, order="F")
+        block = (n, self.width) if len(shape) == 2 else (n,)
+        self.blocks = [np.empty(block, order="F") for _ in range(7)]
+
+
+def _cyclic_residual(M: CyclicTridiag, x: np.ndarray, rhs: np.ndarray,
+                     work: _CyclicWork) -> np.ndarray:
+    """rhs - d*x - s*x_{j-1} (cyclic) with compensated products and sums,
+    written into ``work.residual``, which it returns.
 
     The stiff solves divide by eigenvalues as small as eps while the matrix
     entries stay O(1), so a residual formed in plain arithmetic is pure
     cancellation noise there; the correction passes need the extra digits
     to bring the forward error down to O(u) instead of O(cond * u).
     """
-    if x.ndim == 2 and x.shape[1] > 1 and x.size > _RESIDUAL_BLOCK:
-        # column blocks keep the dozen temporaries below in cache
-        step = max(1, _RESIDUAL_BLOCK // M.n)
-        r = np.empty_like(x)
-        for j in range(0, x.shape[1], step):
-            r[:, j:j + step] = _cyclic_residual(M, x[:, j:j + step], rhs[:, j:j + step])
-        return r
-    x_split = _split(x)
-    p1, e1 = _two_prod(M.d, x, x_split)
-    p2, e2 = _two_prod(M.s, x, x_split)  # s * x_{j-1} once shifted down
-    r, c1 = _two_diff(rhs, p1)
-    r, c2 = _two_diff(r, _shift_down(p2))
-    c1 += c2
+    if x.ndim == 1:
+        _residual_block(M, x, rhs, work.residual, work.blocks)
+        return work.residual
+    k, width = x.shape[1], work.width
+    for j in range(0, k, width):
+        cols = slice(j, j + width)
+        blocks = [b[:, :min(width, k - j)] for b in work.blocks]
+        _residual_block(M, x[:, cols], rhs[:, cols], work.residual[:, cols], blocks)
+    return work.residual
+
+
+def _residual_block(M: CyclicTridiag, x: np.ndarray, rhs: np.ndarray, r: np.ndarray,
+                    blocks: list) -> None:
+    """The compensated residual of one block of columns, written into r;
+    ``blocks`` holds seven scratch arrays of x's shape."""
+    xh, xl, p1, e1, p2, e2, tmp = blocks
+    _split_into(x, xh, xl)
+    _two_prod(M.d, x, xh, xl, p1, e1, tmp)
+    _two_prod(M.s, x, xh, xl, p2, e2, tmp)  # s * x_{j-1} once shifted down
+    r1, c1 = xh, xl  # the split is spent
+    _two_diff(rhs, p1, r1, c1, tmp)
+    _two_diff(r1, _shift_down(p2, out=p1), r, p2, tmp)
+    c1 += p2
     c1 -= e1
-    c1 -= _shift_down(e2)
-    c1 -= M.d_lo * x
+    c1 -= _shift_down(e2, out=p1)
+    np.multiply(M.d_lo, x, out=tmp)
+    c1 -= tmp
     r += c1
-    return r
 
 
 def solve_cyclic(M: CyclicTridiag, rhs: np.ndarray) -> np.ndarray:
@@ -217,21 +274,27 @@ def solve_cyclic(M: CyclicTridiag, rhs: np.ndarray) -> np.ndarray:
     passes repeat while the correction exceeds u * max|x| and still
     shrinks, up to ``MAX_REFINE``.
 
-    ``rhs`` may be a (n,) vector or an (n, k) batch of right-hand sides.
+    ``rhs`` may be a (n,) vector or an (n, k) batch of right-hand sides; the
+    solution is a fresh array. The residual and its temporaries go to
+    buffers M keeps (``M._work``), so one M serves one solve at a time.
     Raises SingularMatrixError on pivot breakdown (magnitude < 1e-30).
     """
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape[0] != M.n:
         raise ValueError(f"rhs length {rhs.shape[0]} does not match dimension {M.n}")
     factor = M._factor
+    work = M._work(rhs.shape)
     x = factor.raw_solve(rhs)
     last = np.inf
     for _ in range(MAX_REFINE):
-        corr = factor.raw_solve(_cyclic_residual(M, x, rhs))
+        corr = factor.raw_solve(_cyclic_residual(M, x, rhs, work))
         x += corr
         if M._one_pass:
             break
         size = _max_abs(corr)
+        # freed before the next raw_solve allocates its own, which then
+        # takes this block back instead of growing the heap
+        del corr
         if not (_ULP * _max_abs(x) < size < last):
             break
         last = size
@@ -323,11 +386,14 @@ class SparseFactor:
         x = self.raw_solve(rhs)
         its = 0
         scale = np.maximum(1.0, np.linalg.norm(rhs, axis=0))
-        r = rhs - A @ x
+        r = A @ x
+        np.subtract(rhs, r, out=r)
         rel = np.max(np.linalg.norm(r, axis=0) / scale)
         while its < MAX_REFINE and np.isfinite(rel) and rel > 0.05 * eff_tol:
-            x_next = x + self.raw_solve(r)
-            r_next = rhs - A @ x_next
+            x_next = self.raw_solve(r)
+            x_next += x
+            r_next = A @ x_next
+            np.subtract(rhs, r_next, out=r_next)
             rel_next = np.max(np.linalg.norm(r_next, axis=0) / scale)
             if not (rel_next < rel):
                 break

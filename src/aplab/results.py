@@ -47,7 +47,12 @@ def run_steps(cfg, make_stepper, n_steps: int, snapshot_steps=None) -> RunResult
 
     f0 = sample(cfg.grid, cfg.model.f_in)
     stepper = make_stepper(cfg)
-    state = stepper.initial(f0)
+    # the first state, not the field it is made from, is kept for the run:
+    # freed after step 1, its block would join the blocks each step frees, and
+    # glibc would trim the heap top and fault it in again every few steps
+    first = stepper.initial(f0)
+    del f0
+    state = first
 
     result = RunResult()
     result.diagnostics.append(StepRecord(0, 0.0, state.mass()))

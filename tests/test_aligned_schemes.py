@@ -11,6 +11,7 @@ from aplab.aligned_schemes import (
     MicroMacroState,
     MicroMacroStepper,
     aligned_lagrange_matrix,
+    make_aligned_stepper,
     run_aligned,
     upwind_x,
 )
@@ -275,6 +276,35 @@ def test_n_step_symbol(scheme, eps, k, l):
     phase = k * cfg.grid.x_nodes()[:, None] + l * cfg.grid.y_nodes()[None, :]
     exact = np.abs(xi) ** n_steps * np.cos(phase + n_steps * np.angle(xi))
     assert np.max(np.abs(final - exact)) <= 1e-13
+
+
+def _values(state):
+    return (state.H, state.h.values) if isinstance(state, MicroMacroState) else (state.values,)
+
+
+@pytest.mark.parametrize("scheme", list(AlignedScheme))
+@pytest.mark.parametrize("eps", [1.0, 1e-6])
+def test_stepping_a_state_twice_gives_equal_results(scheme, eps):
+    # a stepper reuses its work buffers from step to step: a step must read
+    # none of what an earlier step left there, and must hand out none of them
+    cfg = make_cfg(scheme, eps, nx=17, ny=17)
+    stepper = make_aligned_stepper(cfg)
+    s0 = stepper.initial(sample(cfg.grid, cfg.model.f_in))
+    s1 = stepper.step(s0)[0]
+    kept = [v.copy() for v in _values(s1)]
+    stepper.step(s1)
+    for again in (stepper.step(s0)[0], s1):
+        for value, expected in zip(_values(again), kept):
+            assert np.array_equal(value, expected)
+
+
+@pytest.mark.parametrize("scheme", list(AlignedScheme))
+def test_snapshots_are_not_changed_by_later_steps(scheme):
+    cfg = make_cfg(scheme, 1e-3, nx=17, ny=17)
+    n = 5
+    snaps = run_aligned(cfg, n, snapshot_steps=range(n + 1)).snapshots
+    for k, (_, field) in enumerate(snaps):
+        assert np.array_equal(field.values, run_aligned(cfg, k).snapshots[-1][1].values)
 
 
 def test_run_zero_steps():

@@ -172,6 +172,30 @@ def test_scheme_errors_are_config_errors(tmp_path, capsys, entry):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("entry,key", [
+    ({"kind": "aligned-run", "nx": 9, "ny": 9, "nt": 3, "t_end": 5e-324}, "t_end"),  # dt = 0
+    ({"kind": "aligned-run", "nx": 9, "ny": 9, "nt": 3, "b": 5e-324}, "b"),  # beta = 0
+    ({"kind": "amplification-check", "n": 8, "modes": [0, 1], "dt": 1e-320}, "dt"),  # a = inf
+    # eps + beta rounds to beta: the factored imex y-system is singular
+    ({"kind": "aligned-run", "nx": 9, "ny": 9, "nt": 3, "eps_list": [1e-20]}, "eps_list"),
+    ({"kind": "aligned-run", "nx": 9, "ny": 9, "nt": 3, "eps_list": [1e-20],
+      "schemes": ["micro-macro"]}, "eps_list"),
+    ({"kind": "stability-scan", "n": 8, "eps": 5e-324}, "eps"),
+])
+def test_derived_underflow_is_a_config_error(tmp_path, capsys, entry, key):
+    # each passed validation and exited 2 at its first step
+    assert run_experiment(write_config(tmp_path, entry), str(tmp_path / "out")) == 1
+    assert f"config error: key '{key}': " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_schemes_without_the_imex_system_take_tiny_eps():
+    # fourier and lagrange have no y-system that eps + beta = beta makes singular
+    cfg = ExperimentConfig("aligned-run", {"schemes": ["fourier", "lagrange"],
+                                           "eps_list": [1e-20, 5e-324]})
+    assert cfg.params["eps_list"] == [1e-20, 5e-324]
+
+
 NUMERIC_KEYS = [(kind, key) for kind in EXPERIMENT_KINDS
                 for key, value in default_params(kind).items()
                 if isinstance(value, (int, float))]
@@ -235,11 +259,40 @@ def _boundaries():
     ]]
 
 
+# least values of a key's own rule that make a value derived from several keys
+# underflow, by (kind, key, value): the config is turned down all the same,
+# with a message that names the key and says what underflowed
+_SPACING = "invalid dimension: spacings"
+_SINGULAR = "is singular in floating point"
+DERIVED_UNDERFLOWS = {
+    **{(kind, key, "5e-324"): _SPACING
+       for kind in ("aligned-run", "eps-sweep", "point-trace") for key in ("x_max", "y_max")},
+    **{(kind, "t_end", "5e-324"): "time step t_end / \\(nt - 1\\) is 0.0"
+       for kind in ("aligned-run", "eps-sweep", "point-trace", "rotating-run")},
+    **{(kind, "b", "5e-324"): "ratio beta = b dt / dy is 0.0"
+       for kind in ("aligned-run", "eps-sweep", "point-trace", "convergence")},
+    ("amplification-check", "dt", "5e-324"): "x-speed is inf",
+    ("stability-scan", "alpha_list", "[5e-324]"): "time step is 0.0",
+    # eps + beta rounds to beta: the imex and micro-macro y-systems are singular
+    ("convergence", "eps", "5e-324"): _SINGULAR,
+    ("stability-scan", "eps", "5e-324"): _SINGULAR,
+    ("eps-sweep", "eps_list", "[5e-324]"): _SINGULAR,
+    ("aligned-run", "eps_list", "[5e-324]"): _SINGULAR,
+    ("amplification-check", "eps_list", "[5e-324]"): _SINGULAR,
+}
+
+
 @pytest.mark.parametrize("kind,key,rejected,accepted,others", _boundaries())
 def test_config_bounds(kind, key, rejected, accepted, others):
     with pytest.raises(ValueError, match=f"'{key}'"):
         ExperimentConfig(kind, {**others, key: rejected})
-    assert ExperimentConfig(kind, {**others, key: accepted}).params[key] == accepted
+    underflow = DERIVED_UNDERFLOWS.get((kind, key, repr(accepted)))
+    if underflow is None:
+        assert ExperimentConfig(kind, {**others, key: accepted}).params[key] == accepted
+    else:
+        with pytest.raises(ValueError, match=f"'{key}'.*: .*{underflow}"):
+            ExperimentConfig(kind, {**others, key: accepted})
+
 
 
 def test_every_config_key_has_a_rule():

@@ -151,6 +151,35 @@ def test_one_pass_rule_keeps_the_loop_for_stiff_field_output():
     assert CyclicTridiag.from_sum(200, 1.0, beta, -beta)._one_pass
 
 
+# (n, right-hand-side shape, eps): a vector; n = 1; a batch worked in blocks of
+# 40 columns; a batch worked one column at a time; a stiff system that takes
+# more than one refinement pass
+_REUSE_CASES = [(50, (50,), 1.0), (1, (1, 3), 1.0), (200, (200, 200), 1.0),
+                (8000, (8000, 2), 1.0), (200, (200, 200), 1e-6)]
+
+
+@pytest.mark.parametrize("n,shape,eps", _REUSE_CASES)
+def test_solve_cyclic_reused_buffers_match_fresh_ones(n, shape, eps):
+    # later solves run through the buffers the first one filled, so stale
+    # contents would show against a matrix whose buffers are new
+    beta = 0.01 / (2.0 * np.pi / 200)
+    M = CyclicTridiag.from_sum(n, eps, beta, -beta)
+    assert M._one_pass == (eps == 1.0)
+    rng = np.random.default_rng(n)
+    first, second = rng.standard_normal(shape), rng.standard_normal(shape)
+    x1 = solve_cyclic(M, first)
+    kept = x1.copy()
+    for rhs, poison in ((second, False), (first, True)):
+        if poison:  # a read before a write would carry the NaN into x
+            work = M._work(rhs.shape)
+            for buf in (work.residual, *work.blocks):
+                buf.fill(np.nan)
+        fresh = CyclicTridiag.from_sum(n, eps, beta, -beta)
+        assert np.array_equal(solve_cyclic(M, rhs), solve_cyclic(fresh, rhs))
+    # the solution is the caller's, not a buffer of M
+    assert np.array_equal(x1, kept)
+
+
 def test_assemble_empty():
     M = assemble(3, 3, [], [], [])
     assert np.array_equal(M.toarray(), np.zeros((3, 3)))
