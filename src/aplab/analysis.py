@@ -21,7 +21,7 @@ from .rotating_schemes import RotatingScheme, assemble_imp, assemble_lagrange_ro
 __all__ = [
     "error_eta", "error_gamma",
     "fit_loglog_slope", "xi_imex", "amplification_factors", "cond_sweep",
-    "helmert_basis", "cond_family_aligned", "cond_family_rotating",
+    "cond_family_aligned", "cond_family_rotating",
 ]
 
 

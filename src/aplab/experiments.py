@@ -34,8 +34,7 @@ from .linalg import ConvergenceError, SingularMatrixError
 from .rotating import RotatingModel, circle_average, ic_gaussian
 from .rotating_schemes import RotatingScheme, RotatingSchemeConfig, run_rotating
 
-__all__ = ["ExperimentConfig", "EXPERIMENT_KINDS", "default_params",
-           "load_configs", "run_experiment"]
+__all__ = ["EXPERIMENT_KINDS", "default_params", "run_experiment"]
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,10 @@ class Field2D:
 
     ``values[i, j]`` lives at ``(x_nodes()[i], y_nodes()[j])``. Values are
     validated finite on construction, so a blown-up step surfaces as an
-    error instead of propagating NaNs.
+    error instead of propagating NaNs. The check sums the copy, which is
+    finite whenever every entry is, and scans entry by entry only when the
+    sum is not (a NaN or an infinity, or finite entries whose sum
+    overflows); ``mass()`` returns that sum.
     """
 
     grid: Grid2D
@@ -85,11 +88,13 @@ class Field2D:
         expected = (self.grid.nx - 1, self.grid.ny - 1)
         if vals.shape != expected:
             raise ValueError(f"field shape {vals.shape} does not match grid interior {expected}")
-        if not np.all(np.isfinite(vals)):
-            raise FloatingPointError("non-finite field values")
         vals = vals.copy()
+        total = vals.sum()
+        if not np.isfinite(total) and not np.all(np.isfinite(vals)):
+            raise FloatingPointError("non-finite field values")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "_mass", float(total))
 
     @property
     def field(self) -> "Field2D":
@@ -97,7 +102,7 @@ class Field2D:
         return self
 
     def mass(self) -> float:
-        return float(self.values.sum())
+        return self._mass
 
     def full_values(self) -> np.ndarray:
         """Values on all ``nx x ny`` nodes, alias row/column materialized."""

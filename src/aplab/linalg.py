@@ -2,9 +2,10 @@
 
 Every implicit scheme routes through one sparse LU, ``SparseFactor``: the
 per-column cyclic systems of the first toy model through ``solve_cyclic``,
-which factors each ``CyclicTridiag`` once and refines with a compensated
-residual; the global systems of the second through ``assemble`` as plain
-scipy CSR matrices. The condition-number studies go through ``cond2``.
+which factors each ``CyclicTridiag`` once (systems of at most ``DENSE_MAX_N``
+unknowns through their explicit inverse instead) and refines with a
+compensated residual; the global systems of the second through ``assemble``
+as plain scipy CSR matrices. The condition-number studies go through ``cond2``.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ PIVOT_BREAKDOWN = 1e-30
 SOLVE_TOL = 1e-12  # relative residual bound of SparseFactor.solve
 MAX_REFINE = 10  # refinement passes SparseFactor.solve and solve_cyclic may take
 ONE_PASS_K = 1e5  # solve_cyclic stops after one pass when its contraction is <= K * u
+DENSE_MAX_N = 32  # cyclic systems up to this size take their raw solves from a dense inverse
 COND_TOL = 1e-6  # stop threshold of cond2's error estimate, not a bound on its error
 COND_MAX_ITER = 10000
 
@@ -84,6 +86,16 @@ def _two_diff(a: np.ndarray, b: np.ndarray, s: np.ndarray, err: np.ndarray,
 def _max_abs(a: np.ndarray) -> float:
     """max |a| (0 when empty, NaN if any entry is) without an |a| temporary."""
     return max(a.max(initial=0.0), -a.min(initial=0.0))
+
+
+def _column_norms(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(a, axis=0)``, bit for bit. On a C-ordered (n, k)
+    array with k > 1, that norm sums the squares row by row, which einsum
+    does too without a squares temporary and a strided reduction. Other
+    layouts sum each column pairwise, so they keep the norm."""
+    if a.ndim == 2 and a.shape[1] > 1 and a.flags.c_contiguous:
+        return np.sqrt(np.einsum("ij,ij->j", a, a))
+    return np.linalg.norm(a, axis=0)
 
 
 def _shift_down(a: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -165,10 +177,16 @@ class CyclicTridiag:
                 f"(d={float(d)}, s={float(s)})")
 
     @functools.cached_property
-    def _factor(self) -> "SparseFactor":
-        """``SparseFactor`` of ``to_sparse()``, built on the first solve once
-        ``check_pivots`` passes; errors are not cached."""
+    def _factor(self) -> "SparseFactor | _DenseInverse":
+        """What ``solve_cyclic`` takes its raw solves from, built on the first
+        solve once ``check_pivots`` passes; errors are not cached. Up to
+        ``DENSE_MAX_N`` unknowns that is the inverse of ``to_dense()``: one
+        small matrix product costs a few microseconds where SuperLU's
+        per-call and per-column overhead costs tens. Larger systems get the
+        ``SparseFactor`` of ``to_sparse()``. Both leave d_lo out."""
         self.check_pivots()
+        if self.n <= DENSE_MAX_N:
+            return _DenseInverse(self.to_dense())
         return SparseFactor(self.to_sparse())
 
     def _work(self, shape: tuple) -> "_CyclicWork":
@@ -192,6 +210,23 @@ class CyclicTridiag:
         lam = np.abs(lam_f + delta)
         rho = lam.max() / lam.min() * _ULP + abs(delta) / np.abs(lam_f).min()
         return bool(rho <= ONE_PASS_K * _ULP)
+
+
+class _DenseInverse:
+    """Raw solves through the explicit inverse of a small matrix: not
+    backward stable in general, so only for systems that ``solve_cyclic``
+    refines with its compensated residual."""
+
+    def __init__(self, A: np.ndarray):
+        try:
+            self.inverse = np.linalg.inv(A)
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrixError(f"dense inverse failed: {exc}") from exc
+
+    def raw_solve(self, rhs: np.ndarray) -> np.ndarray:
+        # column-major, like SuperLU's solutions: numpy sums micro-macro's
+        # column means in an order that depends on the layout
+        return np.matmul(self.inverse, rhs, out=np.empty(rhs.shape, order="F"))
 
 
 class _CyclicWork:
@@ -258,16 +293,20 @@ def _residual_block(M: CyclicTridiag, x: np.ndarray, rhs: np.ndarray, r: np.ndar
 def solve_cyclic(M: CyclicTridiag, rhs: np.ndarray) -> np.ndarray:
     """Solve the cyclic bidiagonal system ``M x = rhs``.
 
-    M's sparse LU is built once and reused; passes of refinement with the
-    compensated residual keep the forward error near machine level even
-    for nearly singular systems. The LU factors M' = ``to_sparse()``, which
-    differs from M by delta I: delta is d_lo, plus at n = 1 the rounding of
-    d + s, which assembly sums into one entry. Both are circulant, with
-    spectra lam'_k = d + s e^{-2 pi i k/n} (fl(d + s) at n = 1) and
-    lam_k = lam'_k + delta, so a pass scales the error by at most
-    rho = cond2(M) u + |delta| / min|lam'_k|, with cond2(M) =
-    max|lam_k| / min|lam_k|. The first pass always runs and leaves about
-    rho^2 |x|. When rho <= ``ONE_PASS_K`` u that is at most 4.9e-22 |x|, far
+    M's raw solve (``M._factor``) is built once and reused: the explicit
+    inverse of M' for n <= ``DENSE_MAX_N``, its sparse LU otherwise. Passes
+    of refinement with the compensated residual keep the forward error near
+    machine level even for nearly singular systems, and make the result
+    independent of which of the two gave the first iterate. M' =
+    ``to_dense()`` = ``to_sparse()`` differs from M by delta I: delta is
+    d_lo, plus at n = 1 the rounding of d + s, which assembly sums into one
+    entry. Both are circulant, with spectra lam'_k = d + s e^{-2 pi i k/n}
+    (fl(d + s) at n = 1) and lam_k = lam'_k + delta, so an LU pass scales
+    the error by at most rho = cond2(M) u + |delta| / min|lam'_k|, with
+    cond2(M) = max|lam_k| / min|lam_k|. The inverse and its product add a
+    factor of order n to the first term, at most 32 here. The first pass
+    always runs and leaves about rho^2 |x|. When rho <= ``ONE_PASS_K`` u
+    that is at most 4.9e-22 |x| (5e-19 |x| with the factor 32), still far
     below the u/2 |x| of rounding, and the solve stops there. (Only where
     the exact solution sits on a rounding tie, which takes specially
     structured d and s, may further passes round it the other way.) Otherwise,
@@ -385,16 +424,16 @@ class SparseFactor:
         eff_tol = max(SOLVE_TOL, 100.0 * np.finfo(float).eps * max(1.0, self.norm1))
         x = self.raw_solve(rhs)
         its = 0
-        scale = np.maximum(1.0, np.linalg.norm(rhs, axis=0))
+        scale = np.maximum(1.0, _column_norms(rhs))
         r = A @ x
         np.subtract(rhs, r, out=r)
-        rel = np.max(np.linalg.norm(r, axis=0) / scale)
+        rel = np.max(_column_norms(r) / scale)
         while its < MAX_REFINE and np.isfinite(rel) and rel > 0.05 * eff_tol:
             x_next = self.raw_solve(r)
             x_next += x
             r_next = A @ x_next
             np.subtract(rhs, r_next, out=r_next)
-            rel_next = np.max(np.linalg.norm(r_next, axis=0) / scale)
+            rel_next = np.max(_column_norms(r_next) / scale)
             if not (rel_next < rel):
                 break
             x, r, rel = x_next, r_next, rel_next

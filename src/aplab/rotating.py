@@ -14,8 +14,7 @@ import numpy as np
 
 from .grid import Field2D, Grid2D, sample
 
-__all__ = ["RotatingModel", "ic_gaussian", "rotate", "exact_rotating",
-           "circle_average"]
+__all__ = ["RotatingModel", "ic_gaussian", "circle_average"]
 
 N_QUAD = 256  # equispaced angles of circle_average's quadrature
 

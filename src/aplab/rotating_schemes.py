@@ -26,7 +26,7 @@ from .rotating import RotatingModel
 
 __all__ = [
     "RotatingScheme", "RotatingSchemeConfig",
-    "upwind_rotation_matrix", "assemble_imp",
+    "assemble_imp",
     "assemble_lagrange_rot", "run_rotating",
 ]
 

@@ -10,6 +10,7 @@ from aplab.aligned_schemes import (
     LagrangeAlignedStepper,
     MicroMacroState,
     MicroMacroStepper,
+    _column_means,
     aligned_lagrange_matrix,
     make_aligned_stepper,
     run_aligned,
@@ -178,6 +179,29 @@ def test_micromacro_state_checks_zero_mean():
     f = sample(grid, lambda x, y: 1.0 + 0.0 * x)
     with pytest.raises(ValueError):
         MicroMacroState(np.zeros(grid.nx - 1), f)
+
+
+def test_micromacro_state_rejects_one_column_off_zero():
+    # a zero-mean fluctuation passes; one column moved off zero by more than
+    # 1e-10 of max(1, max|h|) fails, by less passes
+    grid = make_grid2d(0.0, 2.0 * np.pi, 0.0, 2.0 * np.pi, 9, 9)
+    H = np.zeros(grid.nx - 1)
+    h = np.cos(grid.y_nodes())[None, :] * np.arange(1.0, grid.nx)[:, None]
+    zero = sample(grid, lambda x, y: 0.0)
+    MicroMacroState(H, zero.with_values(h))
+    shifted = h.copy()
+    shifted[3] += 1e-12 * np.max(np.abs(h))
+    MicroMacroState(H, zero.with_values(shifted))
+    shifted[3] += 1e-8 * np.max(np.abs(h))
+    with pytest.raises(ValueError, match="column means"):
+        MicroMacroState(H, zero.with_values(shifted))
+
+
+def test_micromacro_column_means_match_numpy_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for shape in [(100, 7), (400, 400), (8, 1)]:
+        h = rng.standard_normal(shape)
+        assert np.array_equal(_column_means(h), h.mean(axis=1))
 
 
 def test_micromacro_y_independent_keeps_h_zero():

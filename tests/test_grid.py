@@ -91,6 +91,31 @@ def test_field_shape_validation():
         Field2D(g, np.full((3, 3), np.inf))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_field_rejects_a_single_non_finite_entry(bad):
+    g = make_grid2d(0.0, 1.0, 0.0, 1.0, 5, 5)
+    for i, j in [(0, 0), (1, 2), (3, 3)]:
+        vals = np.ones((4, 4))
+        vals[i, j] = bad
+        with pytest.raises(FloatingPointError):
+            Field2D(g, vals)
+
+
+def test_field_accepts_finite_entries_whose_sum_overflows():
+    g = make_grid2d(0.0, 1.0, 0.0, 1.0, 4, 4)
+    vals = np.zeros((3, 3))
+    vals[0, 0] = vals[2, 1] = 1e308
+    with np.errstate(over="ignore"):
+        f = Field2D(g, vals)
+        assert f.mass() == f.values.sum() == np.inf
+
+
+def test_field_mass_is_the_sum_of_its_values():
+    g = make_grid2d(0.0, 1.0, 0.0, 1.0, 33, 17)
+    f = Field2D(g, np.asfortranarray(np.random.default_rng(3).standard_normal((32, 16))))
+    assert f.mass() == float(f.values.sum())
+
+
 def test_field_values_immutable():
     g = make_grid2d(0.0, 1.0, 0.0, 1.0, 4, 4)
     f = Field2D(g, np.zeros((3, 3)))

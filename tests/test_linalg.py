@@ -104,6 +104,116 @@ def test_solve_cyclic_against_rational_oracle(n, beta):
         assert err <= 2 * u * np.max(np.abs(exact)), (eps, err)
 
 
+def _exact_dense(M: CyclicTridiag, rhs) -> np.ndarray:
+    """M x = rhs by rational Gaussian elimination of the full matrix, with
+    d + d_lo on the diagonal and the corner s summed in at n = 1; each
+    column of ``rhs`` solved exactly, then rounded once to double."""
+    n = M.n
+    A = [[Fraction(0)] * n for _ in range(n)]
+    for j in range(n):
+        A[j][j] += Fraction(M.d) + Fraction(M.d_lo)
+        A[j][(j - 1) % n] += Fraction(M.s)
+    x = np.empty_like(rhs)
+    for c in range(rhs.shape[1]):
+        rows = [A[i][:] + [Fraction(rhs[i, c])] for i in range(n)]
+        for k in range(n):
+            p = next(i for i in range(k, n) if rows[i][k] != 0)
+            rows[k], rows[p] = rows[p], rows[k]
+            for i in range(k + 1, n):
+                f = rows[i][k] / rows[k][k]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[k])]
+        sol = [Fraction(0)] * n
+        for k in reversed(range(n)):
+            tail = sum(rows[k][j] * sol[j] for j in range(k + 1, n))
+            sol[k] = (rows[k][n] - tail) / rows[k][k]
+        x[:, c] = [float(v) for v in sol]  # Fraction -> float rounds to nearest
+    return x
+
+
+_DENSE_BETAS = (0.01, 1.0, 100.0)
+_DENSE_EPS = (1.0, 1e-3, 1e-6, 1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+@pytest.mark.parametrize("beta", _DENSE_BETAS)
+def test_dense_path_gives_the_rounded_exact_solution(n, beta):
+    # systems this small take their raw solves from the explicit inverse;
+    # the compensated refinement must still land on the exact solution of
+    # the discrete system rounded to double, entry by entry
+    assert n <= linalg.DENSE_MAX_N
+    rhs = np.random.default_rng(100 * n + int(beta * 100)).standard_normal((n, 3))
+    for eps in _DENSE_EPS:
+        M = CyclicTridiag.from_sum(n, eps, beta, -beta)
+        assert isinstance(M._factor, linalg._DenseInverse)
+        x = solve_cyclic(M, rhs)
+        assert np.array_equal(x, _exact_dense(M, rhs)), (eps, M._one_pass)
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_dense_path_leaves_nothing_for_another_pass(n):
+    # one more compensated pass moves no entry by half an ulp of max|x|
+    u = np.finfo(float).eps
+    rng = np.random.default_rng(n)
+    for beta in _DENSE_BETAS:
+        for eps in _DENSE_EPS:
+            M = CyclicTridiag.from_sum(n, eps, beta, -beta)
+            rhs = rng.standard_normal((n, 20))
+            x = solve_cyclic(M, rhs)
+            r = linalg._cyclic_residual(M, x, rhs, M._work(rhs.shape))
+            moved = np.max(np.abs(x + M._factor.raw_solve(r) - x))
+            assert moved <= 0.5 * u * np.max(np.abs(x)), (beta, eps, M._one_pass)
+
+
+def test_dense_path_ends_at_its_size_limit():
+    limit = linalg.DENSE_MAX_N
+    assert limit == 32
+    assert isinstance(CyclicTridiag(limit, 2.0, -1.0)._factor, linalg._DenseInverse)
+    assert isinstance(CyclicTridiag(limit + 1, 2.0, -1.0)._factor, SparseFactor)
+    # both return batches column-major: the steppers' copies and column
+    # means sum in memory order, so a row-major result would move bytes
+    for n in (limit, limit + 1):
+        x = solve_cyclic(CyclicTridiag(n, 2.0, -1.0), np.ones((n, 5)))
+        assert x.flags.f_contiguous and not x.flags.c_contiguous
+
+
+def test_dense_path_checks_pivots_before_inverting(monkeypatch):
+    inverted = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a) or inv(a))
+    for n, d, s in [(16, 1.0, -1.0), (1, 1.0, -1.0), (4, 0.0, 1.0)]:
+        M = CyclicTridiag(n, d, s)
+        for _ in range(2):  # raised again on the second solve, not cached away
+            with pytest.raises(SingularMatrixError):
+                solve_cyclic(M, np.ones(n))
+    assert not inverted
+    solve_cyclic(CyclicTridiag(4, 2.0, -1.0), np.ones(4))
+    assert len(inverted) == 1
+
+
+def test_dense_path_reports_a_singular_inverse(monkeypatch):
+    def singular(a):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    with pytest.raises(SingularMatrixError, match="dense inverse"):
+        solve_cyclic(CyclicTridiag(7, 2.0, -1.0), np.ones(7))
+
+
+_NORM_SHAPES = [(16000, 2), (800, 2), (14, 400), (400, 200)]
+
+
+@pytest.mark.parametrize("shape", _NORM_SHAPES + [(16000,), (7,), (800, 1)])
+def test_column_norms_match_numpy_bit_for_bit(shape):
+    # SparseFactor.solve's refinement stops and statistics read these norms;
+    # a numpy release that sums them in another order would show here
+    rng = np.random.default_rng(shape[0])
+    for _ in range(5):
+        a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8)
+        layouts = [a] if a.ndim == 1 else [a, np.asfortranarray(a)]
+        for b in layouts:
+            assert np.array_equal(linalg._column_norms(b), np.linalg.norm(b, axis=0))
+
+
 # (n, right-hand sides per system)
 _ONE_PASS_SHAPES = [(1, 2000), (2, 1000), (7, 300), (400, 5), (8000, 1)]
 
