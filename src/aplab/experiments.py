@@ -43,19 +43,19 @@ __all__ = ["EXPERIMENT_KINDS", "default_params", "run_experiment"]
 
 def ic_one_d(x, y):
     """x-independent profile for the 1d sub-case (a = 0)."""
-    return (np.cos(2.0 * y) + 1.0) + 0.0 * x
+    return np.cos(2.0 * y) + 1.0
 
 
 def ic_y_cosine(x, y):
-    return (np.cos(y) + 1.0) + 0.0 * x
+    return np.cos(y) + 1.0
 
 
 def ic_x_sine(x, y):
-    return np.sin(x) + 0.0 * y
+    return np.sin(x)
 
 
 def ic_unit(x, y):
-    return 1.0 + 0.0 * x + 0.0 * y
+    return 1.0
 
 
 INITIAL_CONDITIONS = {
@@ -163,7 +163,7 @@ _TYPES = {int: ("a number", (int, float)), float: ("a number", (int, float)),
 
 
 class ExperimentConfig:
-    """One validated experiment: kind, merged parameters, output directory."""
+    """One validated experiment: kind, merged parameters, output directory, runs."""
 
     def __init__(self, kind: str, params: dict, name: str | None = None):
         if kind not in _DEFAULTS:
@@ -233,7 +233,7 @@ class ExperimentConfig:
         if 0.0 in p.get("eps_list", ()) and self.kind in ("eps-sweep", "cond-sweep"):
             # the exact solution and the slope fit over log(eps) need eps > 0
             raise ValueError(f"key 'eps_list': {self.kind} needs eps > 0")
-        _scheme_configs(self.kind, p)  # checks the values derived from several keys
+        self.jobs = _jobs(self.kind, p)  # checks the values derived from several keys
 
 
 def load_configs(config_path: str) -> list:
@@ -389,20 +389,22 @@ def _aligned_config(p: dict, scheme: str, eps: float, keys: dict = _KEYS) -> Ali
                            _grid(p, int(p["nx"]), int(p["ny"])), _time_step(p), scheme, keys)
 
 
+def _stabilization(grid, gamma: float) -> None:
+    """s = (dx dy)^gamma of the rotating multiplier system, as its schemes compute
+    it, must be finite and > 0: U's rows sum to zero, so at s = 0, S 1 = 0."""
+    try:
+        s = (grid.dx * grid.dy) ** gamma
+    except OverflowError:
+        s = math.inf
+    _derived("gamma", "stabilization s = (dx dy)^gamma", s, 0.0 < s < math.inf)
+
+
 def _rotating_config(p: dict, scheme: str, eps: float) -> RotatingSchemeConfig:
     grid = _grid(p, int(p["nx"]), int(p["ny"]))
-    model = RotatingModel(eps, INITIAL_CONDITIONS[p["ic"]])
-    return RotatingSchemeConfig(model, grid, _time_step(p), gamma=p["gamma"],
-                                scheme=RotatingScheme(scheme))
-
-
-def _runs(p: dict, config, run):
-    """``run(config(p, scheme, eps), nt - 1)`` for every (scheme, eps) pair in
-    order; yields (scheme, eps, scheme config, result)."""
-    for scheme in p["schemes"]:
-        for eps in p["eps_list"]:
-            scfg = config(p, scheme, eps)
-            yield scheme, eps, scfg, run(scfg, int(p["nt"]) - 1)
+    if scheme == "lagrange":
+        _stabilization(grid, p["gamma"])
+    return RotatingSchemeConfig(RotatingModel(eps, INITIAL_CONDITIONS[p["ic"]]), grid,
+                                _time_step(p), gamma=p["gamma"], scheme=RotatingScheme(scheme))
 
 
 def _slope_row(label: str, steps, values, fit: bool = True) -> tuple:
@@ -428,10 +430,10 @@ def _aligned_errors(scfg: AlignedSchemeConfig, result) -> tuple:
 
 
 def _run_aligned_run(cfg: ExperimentConfig, out: Path) -> tuple:
-    p = cfg.params
     files = []
     error_rows = []
-    for scheme, eps, scfg, result in _runs(p, _aligned_config, run_aligned):
+    for scheme, eps, scfg, n_steps in cfg.jobs:
+        result = run_aligned(scfg, n_steps)
         files += _write_run(out, f"{scheme}_eps{_eps_tag(eps)}", result)
         error_rows.append((scheme, eps, *_aligned_errors(scfg, result)))
     plots = [f"splot \"{f.name}\" every ::1 using 1:2:3 with points palette"
@@ -447,10 +449,10 @@ def _circle_radius(lx: float, ly: float) -> float:
 
 
 def _run_rotating_run(cfg: ExperimentConfig, out: Path) -> tuple:
-    p = cfg.params
     files = []
     summary = []
-    for scheme, eps, scfg, result in _runs(p, _rotating_config, run_rotating):
+    for scheme, eps, scfg, n_steps in cfg.jobs:
+        result = run_rotating(scfg, n_steps)
         tag = f"{scheme}_eps{_eps_tag(eps)}"
         files += _write_run(out, tag, result)
         t_end, final = result.snapshots[-1]
@@ -460,29 +462,27 @@ def _run_rotating_run(cfg: ExperimentConfig, out: Path) -> tuple:
         ys = grid.y_nodes()
         files.append(_write_csv(out / f"cut_{tag}.csv", ["y", "value"],
                                 ((ys[j], final.values[i_cut, j]) for j in range(grid.ny - 1))))
-        radius = _circle_radius(grid.lx, grid.ly)
         summary.append((scheme, eps, t_end, float(final.values.max()),
-                        circle_average(final, radius)))
+                        circle_average(final, _circle_radius(grid.lx, grid.ly))))
     files.append(_write_csv(out / "summary.csv", ["scheme", "eps", "t", "peak", "circle_avg"],
                             summary))
     return files, _plots([f for f in files if f.name.startswith("cut_")], "lines")
 
 
 def _run_point_trace(cfg: ExperimentConfig, out: Path) -> tuple:
-    p = cfg.params
-    i_pt, j_pt = int(p["point"][0]), int(p["point"][1])
+    i_pt, j_pt = int(cfg.params["point"][0]), int(cfg.params["point"][1])
     files = []
-    for scheme, eps, _, result in _runs(
-            p, _aligned_config, lambda c, n: run_aligned(c, n, snapshot_steps=range(n + 1))):
+    for scheme, eps, scfg, n_steps in cfg.jobs:
+        result = run_aligned(scfg, n_steps, snapshot_steps=range(n_steps + 1))
         files.append(_write_csv(out / f"trace_{scheme}_eps{_eps_tag(eps)}.csv", ["t", "value"],
                                 ((t, fld.values[i_pt, j_pt]) for t, fld in result.snapshots)))
     return files, _plots(files, "lines")
 
 
 def _run_eps_sweep(cfg: ExperimentConfig, out: Path) -> tuple:
-    p = cfg.params
     rows = {}
-    for scheme, eps, scfg, result in _runs(p, _aligned_config, run_aligned):
+    for scheme, eps, scfg, n_steps in cfg.jobs:
+        result = run_aligned(scfg, n_steps)
         rows.setdefault(scheme, []).append((eps, *_aligned_errors(scfg, result)))
     files = [_write_csv(out / f"errors_{scheme}.csv", ["eps", "t", "eta", "gamma"], r)
              for scheme, r in rows.items()]
@@ -516,31 +516,33 @@ def _convergence_config(p: dict, scheme: str, n: int) -> tuple:
     return _aligned_config(q, scheme, p["eps"], keys), int(q["nt"]) - 1
 
 
-def _convergence_point(p: dict, scheme: str, n: int) -> tuple:
+def _convergence_point(scfg: AlignedSchemeConfig, n_steps: int, vary: str) -> tuple:
     """(varied step, eta) of one run of a convergence sweep. Nothing of the
     run outlives this call: a result kept until the next run returned pinned
     the heap top across that run, and with the steppers' own buffers that
     kept about 12 MB of freed heap resident into the next Lagrange
     factorization (stiff-steps peak RSS 81.8 instead of 74.6 MiB)."""
-    scfg, n_steps = _convergence_config(p, scheme, n)
     t_end, final = run_aligned(scfg, n_steps).snapshots[-1]
     eta = error_eta(final, exact_aligned(scfg.model, t_end, scfg.grid))
-    return {"dx": scfg.grid.dx, "dy": scfg.grid.dy, "dt": scfg.dt}[p["vary"]], eta
+    return {"dx": scfg.grid.dx, "dy": scfg.grid.dy, "dt": scfg.dt}[vary], eta
 
 
 def _run_convergence(cfg: ExperimentConfig, out: Path) -> tuple:
-    p = cfg.params
-    vary = p["vary"]
+    vary = cfg.params["vary"]
     files = []
     slope_rows = []
-    for scheme in p["schemes"]:
-        rows = [_convergence_point(p, scheme, n) for n in p["n_list"]]
+    for scheme in cfg.params["schemes"]:
+        rows = [_convergence_point(c, k, vary) for s, _, c, k in cfg.jobs if s == scheme]
         files.append(_write_csv(out / f"errors_{vary}_{scheme}.csv", [vary, "eta"], rows))
         slope_rows.append(_slope_row(scheme, [r[0] for r in rows], [r[1] for r in rows],
                                      fit=_fits_slope(vary, scheme)))
     plots = ["set logscale xy"] + _plots(files, "linespoints")
     files.append(_write_csv(out / "slopes.csv", ["scheme", "slope", "spread"], slope_rows))
     return files, plots
+
+
+def _cond_grid(p: dict):
+    return make_grid2d(-3.0, 3.0, -3.0, 3.0, int(p["rot_n"]), int(p["rot_n"]))
 
 
 def _run_cond_sweep(cfg: ExperimentConfig, out: Path) -> tuple:
@@ -552,8 +554,7 @@ def _run_cond_sweep(cfg: ExperimentConfig, out: Path) -> tuple:
                     for s in (AlignedScheme.IMEX, AlignedScheme.MICRO_MACRO,
                               AlignedScheme.LAGRANGE)]
     else:
-        grid = make_grid2d(-3.0, 3.0, -3.0, 3.0, int(p["rot_n"]), int(p["rot_n"]))
-        families = [(s.value, cond_family_rotating(s, grid, p["rot_dt"], p["gamma"]))
+        families = [(s.value, cond_family_rotating(s, _cond_grid(p), p["rot_dt"], p["gamma"]))
                     for s in (RotatingScheme.IMP, RotatingScheme.LAGRANGE)]
     files = []
     slope_rows = []
@@ -579,12 +580,9 @@ def _stability_config(p: dict, alpha: float) -> AlignedSchemeConfig:
 
 
 def _run_stability_scan(cfg: ExperimentConfig, out: Path) -> tuple:
-    p = cfg.params
-    n = int(p["n"])
-    rows = []
-    for alpha in p["alpha_list"]:
-        xi = amplification_factors(_stability_config(p, alpha))
-        rows.append((float(alpha), float(np.abs(xi[:(n + 1) // 2, 0]).max())))
+    n = int(cfg.params["n"])
+    rows = [(float(alpha), float(np.abs(amplification_factors(scfg)[:(n + 1) // 2, 0]).max()))
+            for _, alpha, scfg, _ in cfg.jobs]
     return ([_write_csv(out / "stability.csv", ["alpha", "max_xi"], rows)],
             ["plot \"stability.csv\" skip 1 using 1:2 with linespoints, 1.0"])
 
@@ -613,36 +611,37 @@ def _run_amplification_check(cfg: ExperimentConfig, out: Path) -> tuple:
     p = cfg.params
     n = int(p["n"])
     rows = []
-    for eps in p["eps_list"]:
-        for scheme in p["schemes"]:
-            scfg = _amplification_config(p, eps, scheme)
-            grid = scfg.grid
-            xi = np.abs(amplification_factors(scfg))
-            for k in map(int, p["modes"]):
-                for l in map(int, p["modes"]):
-                    measured = xi[k % (n - 1), l % (n - 1)]
-                    formula = (_xi_fourier(scfg, k, l) if scheme == "fourier" else
-                               xi_imex(scfg.alpha, scfg.beta, eps, k, l, grid.dx, grid.dy))
-                    rows.append((scheme, eps, k, l, measured, formula, abs(measured - formula)))
+    for scheme, eps, scfg, _ in cfg.jobs:
+        xi = np.abs(amplification_factors(scfg))
+        for k in map(int, p["modes"]):
+            for l in map(int, p["modes"]):
+                measured = xi[k % (n - 1), l % (n - 1)]
+                formula = (_xi_fourier(scfg, k, l) if scheme == "fourier" else
+                           xi_imex(scfg.alpha, scfg.beta, eps, k, l, scfg.grid.dx, scfg.grid.dy))
+                rows.append((scheme, eps, k, l, measured, formula, abs(measured - formula)))
     path = _write_csv(out / "amplification.csv",
                       ["scheme", "eps", "k", "l", "measured", "formula", "abs_diff"], rows)
     return [path], ["plot \"amplification.csv\" skip 1 using 5:6 with points"]
 
 
-def _scheme_configs(kind: str, p: dict) -> list:
-    """Every scheme config a run of ``kind`` builds, in run order. Building
-    one checks the values it derives (``_aligned_scheme``); cond-sweep builds
-    none, as its families record a failing entry as NaN."""
+def _jobs(kind: str, p: dict) -> list:
+    """Every run of an entry of ``kind`` in run order: (scheme, swept eps, n or
+    alpha, scheme config, step count). Data only: runners call the stepping
+    functions. Building a config checks the values it derives (``_aligned_scheme``,
+    ``_stabilization``); cond-sweep has none, its families record a failure as NaN."""
     if kind == "convergence":
-        return [_convergence_config(p, s, n)[0] for s in p["schemes"] for n in p["n_list"]]
+        return [(s, n, *_convergence_config(p, s, n)) for s in p["schemes"] for n in p["n_list"]]
     if kind == "stability-scan":
-        return [_stability_config(p, alpha) for alpha in p["alpha_list"]]
+        return [("imex", a, _stability_config(p, a), 1) for a in p["alpha_list"]]
     if kind == "amplification-check":
-        return [_amplification_config(p, e, s) for e in p["eps_list"] for s in p["schemes"]]
+        return [(s, e, _amplification_config(p, e, s), 1) for e in p["eps_list"]
+                for s in p["schemes"]]
     if kind == "cond-sweep":
+        if p["toy"] == 2:
+            _stabilization(_cond_grid(p), p["gamma"])
         return []
     config = _rotating_config if kind == "rotating-run" else _aligned_config
-    return [config(p, s, e) for s in p["schemes"] for e in p["eps_list"]]
+    return [(s, e, config(p, s, e), int(p["nt"]) - 1) for s in p["schemes"] for e in p["eps_list"]]
 
 
 _RUNNERS = {

@@ -181,6 +181,12 @@ def test_scheme_errors_are_config_errors(tmp_path, capsys, entry):
     ({"kind": "aligned-run", "nx": 9, "ny": 9, "nt": 3, "eps_list": [1e-20],
       "schemes": ["micro-macro"]}, "eps_list"),
     ({"kind": "stability-scan", "n": 8, "eps": 5e-324}, "eps"),
+    # the stabilization s = (dx dy)^gamma of the multiplier system overflows
+    # (a traceback), or is 0 and the system exactly singular (exit 2)
+    ({"kind": "rotating-run", "gamma": -200, "nt": 3, "schemes": ["lagrange"]}, "gamma"),
+    ({"kind": "cond-sweep", "toy": 2, "rot_n": 8, "gamma": -3000}, "gamma"),
+    ({"kind": "rotating-run", "nx": 8, "ny": 8, "nt": 3, "gamma": 3000,
+      "schemes": ["lagrange"], "eps_list": [1e-3]}, "gamma"),
 ])
 def test_derived_underflow_is_a_config_error(tmp_path, capsys, entry, key):
     # each passed validation and exited 2 at its first step
@@ -538,16 +544,50 @@ def test_rerun_replaces_the_output_directory(tmp_path):
     assert _listed_equals_on_disk(out / "tiny")
 
 
+# one tiny entry of each kind, so that every kind's jobs are covered
+TINY_BATCH = [
+    dict(TINY_ALIGNED, name="first", nt=3),
+    {"kind": "stability-scan", "name": "second", "n": 8, "alpha_list": [0.9, 1.1]},
+    {"kind": "rotating-run", "name": "rotating", "nx": 9, "ny": 9, "nt": 3,
+     "schemes": ["imp", "lagrange"], "eps_list": [1.0, 1e-3]},
+    {"kind": "point-trace", "name": "trace", "nx": 5, "ny": 9, "nt": 5,
+     "schemes": ["imex", "fourier"], "eps_list": [1.0, 0.1]},
+    {"kind": "eps-sweep", "name": "sweep", "nx": 9, "ny": 9, "nt": 3,
+     "schemes": ["micro-macro", "lagrange"], "eps_list": [1.0, 0.1]},
+    {"kind": "convergence", "name": "conv", "vary": "dt", "n_list": [5, 9, 17],
+     "schemes": ["imex", "lagrange"]},
+    {"kind": "cond-sweep", "name": "cond", "toy": 2, "rot_n": 8, "eps_list": [0.1, 0.01, 0.001]},
+    {"kind": "amplification-check", "name": "amp", "n": 8, "modes": [0, 1, 3],
+     "schemes": ["fourier", "imex"], "eps_list": [1.0, 1e-3]},
+]
+
+
 def test_worker_pool_writes_the_same_bytes(tmp_path):
-    batch = [dict(TINY_ALIGNED, name="first", nt=3),
-             {"kind": "stability-scan", "name": "second", "n": 8, "alpha_list": [0.9, 1.1]}]
-    cfg = write_config(tmp_path, batch)
+    cfg = write_config(tmp_path, TINY_BATCH)
     for workers in (1, 2):
         assert run_experiment(cfg, str(tmp_path / f"w{workers}"), workers=workers) == 0
     files = {w: {p.relative_to(tmp_path / w): p.read_bytes()
                  for p in (tmp_path / w).rglob("*.*") if p.name != "manifest.json"}
              for w in ("w1", "w2")}
-    assert len(files["w1"]) == 7 and files["w1"] == files["w2"]
+    assert len(files["w1"]) == 43 and files["w1"] == files["w2"]
+
+
+@pytest.mark.parametrize("entry", TINY_BATCH, ids=lambda entry: entry["kind"])
+def test_runners_step_the_jobs_that_validation_built(tmp_path, monkeypatch, entry):
+    # the runner steps the very scheme configs that validation built, in
+    # their order, and builds none of its own
+    params = {k: v for k, v in entry.items() if k not in ("kind", "name")}
+    cfg = ExperimentConfig(entry["kind"], params, "tiny")
+    stepped = []
+    for name in ("run_aligned", "run_rotating", "amplification_factors"):
+        def record(scfg, *args, real=getattr(experiments, name), **kwargs):
+            stepped.append(scfg)
+            return real(scfg, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, name, record)
+    experiments._execute_one(cfg, tmp_path)
+    assert [id(scfg) for scfg in stepped] == [id(job[2]) for job in cfg.jobs]
+    assert cfg.jobs or entry["kind"] == "cond-sweep"  # its families record failures as NaN
 
 
 @pytest.mark.parametrize("workers,cpus,pool_size", [

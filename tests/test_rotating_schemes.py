@@ -322,6 +322,35 @@ def test_lagrange_growth_matches_spectral_radius(grid21_upwind_eigenvalues, gamm
         assert tail <= 1.0 + 1e-9
 
 
+@pytest.mark.parametrize("n", [20, 30])
+def test_imp_decay_matches_largest_factor_off_the_kernel(n):
+    # IMP's step is G = (Id + (dt/eps) U)^-1, so a field with no part on the
+    # kernel of U decays at max |1 / (1 + (dt/eps) mu)| over the other
+    # eigenvalues mu. With an even node count no node sits at the origin and
+    # the kernel is the constants alone, which a zero-mean field leaves out.
+    # The run stops above roundoff, where the ratio would read 1.0. At 30^2
+    # and eps = 1 the second factor is 0.98077 against 0.99126, so 400 steps
+    # left the ratio up to 1e-2 off for some seeds; 1,500 bring every seed
+    # from 0 to 9 within 1e-9.
+    grid = make_grid2d(-3, 3, -3, 3, n, n)
+    mu = np.linalg.eigvals(upwind_rotation_matrix(grid).toarray())
+    assert np.count_nonzero(np.abs(mu) <= 1e-10) == 1
+    mu = mu[np.abs(mu) > 1e-10]
+    dt = grid.dx / 2.0
+    for eps in (1.0, 0.1, 0.01):
+        decay = float(np.max(np.abs(1.0 / (1.0 + (dt / eps) * mu))))
+        stepper = ImpStepper(make_cfg("imp", eps, dt=dt, grid=grid))
+        v = np.random.default_rng(7).standard_normal((n - 1, n - 1))
+        f = Field2D(grid, v - v.mean())
+        norms = [np.linalg.norm(f.values)]
+        for _ in range(1500):
+            f = stepper.step(f)[0]
+            norms.append(np.linalg.norm(f.values))
+            if norms[-1] < 1e-11 * norms[1]:
+                break
+        assert norms[-1] / norms[-2] == pytest.approx(decay, rel=1e-5), eps
+
+
 @pytest.mark.parametrize("eps, scheme", [(1.0, "imp"), (1.0, "lagrange"), (1e-4, "imp"),
                                          (1e-4, "lagrange"), (0.0, "lagrange")])
 def test_mass_drift_hundred_steps(eps, scheme):
