@@ -9,6 +9,8 @@ stiffness parameter.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -161,35 +163,43 @@ def helmert_basis(m: int) -> np.ndarray:
     return Q
 
 
+def _imex_matrix(m: int, beta: float, eps: float) -> sp.csr_matrix:
+    return CyclicTridiag(m, eps + beta, -beta).to_sparse()
+
+
+def _micro_macro_matrix(m: int, beta: float, eps: float) -> sp.csr_matrix:
+    # an orthonormal basis, so the singular values are those of the restriction
+    Q = helmert_basis(m)
+    return sp.csr_matrix(Q.T @ CyclicTridiag(m, eps + beta, -beta).to_dense() @ Q)
+
+
+def _imp_matrix(grid, dt: float, eps: float) -> sp.csr_matrix:
+    return assemble_imp(grid, eps, dt)
+
+
+def _lagrange_rot_matrix(grid, dt: float, gamma: float, eps: float) -> sp.csr_matrix:
+    return assemble_lagrange_rot(grid, eps, dt, gamma)
+
+
 def cond_family_aligned(scheme, m: int, beta: float):
     """Per-column system family eps -> CSR matrix for an aligned scheme.
 
     The micro-macro family is the cyclic system restricted to the zero-mean
-    subspace (orthonormal basis, so singular values are those of the
-    restriction). The Fourier scheme solves no linear system and has no
-    family.
+    subspace. The Fourier scheme solves no linear system and has no family.
+    A family is a ``functools.partial`` of a module function: it pickles,
+    and it builds no matrix until it is called.
     """
-    if not isinstance(scheme, AlignedScheme):
-        scheme = AlignedScheme(scheme)
-    if scheme is AlignedScheme.IMEX:
-        return lambda eps: CyclicTridiag(m, eps + beta, -beta).to_sparse()
-    if scheme is AlignedScheme.MICRO_MACRO:
-        Q = helmert_basis(m)
-
-        def restricted(eps: float) -> sp.csr_matrix:
-            A = CyclicTridiag(m, eps + beta, -beta).to_dense()
-            return sp.csr_matrix(Q.T @ A @ Q)
-
-        return restricted
-    if scheme is AlignedScheme.LAGRANGE:
-        return lambda eps: aligned_lagrange_matrix(m, beta, eps)
-    raise ValueError(f"scheme {scheme.value} solves no linear system")
+    scheme = AlignedScheme(scheme)
+    if scheme is AlignedScheme.FOURIER:
+        raise ValueError(f"scheme {scheme.value} solves no linear system")
+    matrix = {AlignedScheme.IMEX: _imex_matrix, AlignedScheme.MICRO_MACRO: _micro_macro_matrix,
+              AlignedScheme.LAGRANGE: aligned_lagrange_matrix}[scheme]
+    return functools.partial(matrix, m, beta)
 
 
 def cond_family_rotating(scheme, grid, dt: float, gamma: float = 0.91):
-    """System matrix family eps -> CSR matrix for a rotation scheme."""
-    if not isinstance(scheme, RotatingScheme):
-        scheme = RotatingScheme(scheme)
-    if scheme is RotatingScheme.IMP:
-        return lambda eps: assemble_imp(grid, eps, dt)
-    return lambda eps: assemble_lagrange_rot(grid, eps, dt, gamma)
+    """System matrix family eps -> CSR matrix for a rotation scheme, a
+    ``functools.partial`` like those of ``cond_family_aligned``."""
+    if RotatingScheme(scheme) is RotatingScheme.IMP:
+        return functools.partial(_imp_matrix, grid, dt)
+    return functools.partial(_lagrange_rot_matrix, grid, dt, gamma)

@@ -32,7 +32,7 @@ from .analysis import (amplification_factors, cond_family_aligned, cond_family_r
 from .grid import make_grid2d
 from .linalg import ConvergenceError, SingularMatrixError
 from .rotating import RotatingModel, circle_average, ic_gaussian
-from .rotating_schemes import RotatingScheme, RotatingSchemeConfig, run_rotating
+from .rotating_schemes import RotatingScheme, RotatingSchemeConfig, run_rotating, stabilization
 
 __all__ = ["EXPERIMENT_KINDS", "default_params", "run_experiment"]
 
@@ -166,16 +166,13 @@ class ExperimentConfig:
     """One validated experiment: kind, merged parameters, output directory, runs."""
 
     def __init__(self, kind: str, params: dict, name: str | None = None):
-        if kind not in _DEFAULTS:
-            raise ValueError(f"unknown experiment kind '{kind}'")
-        defaults = _DEFAULTS[kind]
-        merged = dict(defaults)
+        merged = default_params(kind)  # a deep copy: a config's lists are its own
         for key, value in params.items():
-            if key not in defaults:
+            if key not in merged:
                 raise ValueError(f"unknown key '{key}' for kind '{kind}'")
             if isinstance(value, bool):
                 raise ValueError(f"key '{key}': booleans are not used")
-            what, types = _TYPES[type(defaults[key])]
+            what, types = _TYPES[type(merged[key])]
             if not isinstance(value, types):
                 raise ValueError(f"key '{key}': expected {what}")
             merged[key] = value
@@ -227,9 +224,6 @@ class ExperimentConfig:
             raise ValueError(f"key 'modes': entries k must satisfy 2|k| < n = {p['n']}")
         if 0.0 in p.get("eps_list", ()) and "imp" in p.get("schemes", ()):
             raise ValueError("key 'eps_list': the fully implicit scheme 'imp' needs eps > 0")
-        if 0.0 in p.get("eps_list", ()) and "imex" in p.get("schemes", ()):
-            # the cyclic y-system of every imex step is singular at eps = 0
-            raise ValueError(f"key 'eps_list': {self.kind} with scheme 'imex' needs eps > 0")
         if 0.0 in p.get("eps_list", ()) and self.kind in ("eps-sweep", "cond-sweep"):
             # the exact solution and the slope fit over log(eps) need eps > 0
             raise ValueError(f"key 'eps_list': {self.kind} needs eps > 0")
@@ -373,7 +367,7 @@ def _aligned_scheme(a: float, b: float, eps: float, f_in, grid, dt: float, schem
     _derived(keys["a"], "ratio alpha = a dt / dx", alpha, alpha < math.inf)
     _derived(keys["b"], "ratio beta = b dt / dy", beta, 0.0 < beta < math.inf)
     scfg = AlignedSchemeConfig(AlignedModel(a, b, eps, f_in), grid, dt, AlignedScheme(scheme))
-    if scheme in ("imex", "micro-macro") and eps > 0.0:
+    if scheme == "imex" or (scheme == "micro-macro" and eps > 0.0):
         # the factored y-system is singular once eps + beta rounds to beta
         try:
             ImexStepper(scfg).matrix.check_pivots()
@@ -390,12 +384,8 @@ def _aligned_config(p: dict, scheme: str, eps: float, keys: dict = _KEYS) -> Ali
 
 
 def _stabilization(grid, gamma: float) -> None:
-    """s = (dx dy)^gamma of the rotating multiplier system, as its schemes compute
-    it, must be finite and > 0: U's rows sum to zero, so at s = 0, S 1 = 0."""
-    try:
-        s = (grid.dx * grid.dy) ** gamma
-    except OverflowError:
-        s = math.inf
+    """s must be finite and > 0: U's rows sum to zero, so at s = 0, S 1 = 0."""
+    s = stabilization(grid, gamma)
     _derived("gamma", "stabilization s = (dx dy)^gamma", s, 0.0 < s < math.inf)
 
 
@@ -541,24 +531,10 @@ def _run_convergence(cfg: ExperimentConfig, out: Path) -> tuple:
     return files, plots
 
 
-def _cond_grid(p: dict):
-    return make_grid2d(-3.0, 3.0, -3.0, 3.0, int(p["rot_n"]), int(p["rot_n"]))
-
-
 def _run_cond_sweep(cfg: ExperimentConfig, out: Path) -> tuple:
-    p = cfg.params
-    eps_list = sorted(p["eps_list"], reverse=True)
-    if p["toy"] == 1:
-        m = int(p["ny"]) - 1
-        families = [(s.value, cond_family_aligned(s, m, p["beta"]))
-                    for s in (AlignedScheme.IMEX, AlignedScheme.MICRO_MACRO,
-                              AlignedScheme.LAGRANGE)]
-    else:
-        families = [(s.value, cond_family_rotating(s, _cond_grid(p), p["rot_dt"], p["gamma"]))
-                    for s in (RotatingScheme.IMP, RotatingScheme.LAGRANGE)]
     files = []
     slope_rows = []
-    for label, family in families:
+    for label, eps_list, family, _ in cfg.jobs:
         table = cond_sweep(family, eps_list)
         files.append(_write_csv(out / f"cond_{label}.csv", ["eps", "cond2"], table))
         slope_rows.append(_slope_row(label, eps_list, [v for _, v in table]))
@@ -567,13 +543,9 @@ def _run_cond_sweep(cfg: ExperimentConfig, out: Path) -> tuple:
     return files, plots
 
 
-def _square_grid(n: int):
-    return make_grid2d(0.0, 2.0 * np.pi, 0.0, 2.0 * np.pi, n, n)
-
-
 def _stability_config(p: dict, alpha: float) -> AlignedSchemeConfig:
     # a = 1 fixed; dt = alpha * dx sets the advective ratio exactly
-    grid = _square_grid(int(p["n"]))
+    grid = _grid(_ALIGNED_BASE, int(p["n"]), int(p["n"]))
     keys = {"dt": "alpha_list", "a": "alpha_list", "b": "alpha_list", "eps": "eps"}
     return _aligned_scheme(1.0, 1.0, p["eps"], ic_unit, grid, float(alpha) * grid.dx, "imex",
                            keys)
@@ -600,7 +572,7 @@ def _xi_fourier(scfg: AlignedSchemeConfig, k: int, l: int) -> float:
 
 def _amplification_config(p: dict, eps: float, scheme: str) -> AlignedSchemeConfig:
     # b = 1 fixed; the x-speed alpha dx / dt sets the advective ratio
-    grid = _square_grid(int(p["n"]))
+    grid = _grid(_ALIGNED_BASE, int(p["n"]), int(p["n"]))
     dt = float(p["dt"])
     keys = {"dt": "dt", "a": "dt", "b": "dt", "eps": "eps_list"}
     return _aligned_scheme(float(p["alpha"]) * grid.dx / dt, 1.0, eps, ic_unit, grid, dt, scheme,
@@ -626,9 +598,10 @@ def _run_amplification_check(cfg: ExperimentConfig, out: Path) -> tuple:
 
 def _jobs(kind: str, p: dict) -> list:
     """Every run of an entry of ``kind`` in run order: (scheme, swept eps, n or
-    alpha, scheme config, step count). Data only: runners call the stepping
-    functions. Building a config checks the values it derives (``_aligned_scheme``,
-    ``_stabilization``); cond-sweep has none, its families record a failure as NaN."""
+    alpha, scheme config, step count); for cond-sweep (scheme, eps list in sweep
+    order, matrix family, None). Data only: runners call the stepping functions,
+    and a family builds no matrix until it is called. Building a config checks
+    the values it derives (``_aligned_scheme``, ``_stabilization``)."""
     if kind == "convergence":
         return [(s, n, *_convergence_config(p, s, n)) for s in p["schemes"] for n in p["n_list"]]
     if kind == "stability-scan":
@@ -637,9 +610,14 @@ def _jobs(kind: str, p: dict) -> list:
         return [(s, e, _amplification_config(p, e, s), 1) for e in p["eps_list"]
                 for s in p["schemes"]]
     if kind == "cond-sweep":
-        if p["toy"] == 2:
-            _stabilization(_cond_grid(p), p["gamma"])
-        return []
+        eps_list = sorted(p["eps_list"], reverse=True)
+        if p["toy"] == 1:
+            return [(s, eps_list, cond_family_aligned(s, int(p["ny"]) - 1, p["beta"]), None)
+                    for s in ("imex", "micro-macro", "lagrange")]
+        grid = _grid(_ROTATING_BASE, int(p["rot_n"]), int(p["rot_n"]))
+        _stabilization(grid, p["gamma"])
+        return [(s, eps_list, cond_family_rotating(s, grid, p["rot_dt"], p["gamma"]), None)
+                for s in ("imp", "lagrange")]
     config = _rotating_config if kind == "rotating-run" else _aligned_config
     return [(s, e, config(p, s, e), int(p["nt"]) - 1) for s in p["schemes"] for e in p["eps_list"]]
 

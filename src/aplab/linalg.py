@@ -448,13 +448,16 @@ class SparseFactor:
 # condition number
 
 
-def _iterate_extreme(apply_op, v0: np.ndarray):
+def _iterate_extreme(apply_op, v0: np.ndarray, method: str, which: str) -> float:
     """Power iteration on an SPD operator; returns its top eigenvalue.
 
     Stops once change * r / (1 - r) drops below ``COND_TOL * |lam|``, with r
     the ratio of the last two changes capped at 0.999. That bounds the error
     only while r is steady and below 0.999; near-equal top eigenvalues make
-    it stop early and low. Returns (eigenvalue, converged_flag, last_change).
+    it stop early and low. Raises ConvergenceError, naming ``method``, when
+    the iteration has clearly not settled after ``COND_MAX_ITER`` iterations,
+    and SingularMatrixError, naming the ``which`` singular value, when the
+    eigenvalue is not finite and > 0.
     """
     v = v0 / np.linalg.norm(v0)
     lam_prev = 0.0
@@ -463,7 +466,8 @@ def _iterate_extreme(apply_op, v0: np.ndarray):
         w = apply_op(v)
         nw = np.linalg.norm(w)
         if nw == 0.0:
-            return 0.0, True, 0.0
+            lam = 0.0
+            break
         lam = float(v @ w)
         v = w / nw
         change = abs(lam - lam_prev)
@@ -472,11 +476,17 @@ def _iterate_extreme(apply_op, v0: np.ndarray):
             ratio = min(ratio, 0.999)
             remaining = change * ratio / (1.0 - ratio)
             if remaining <= COND_TOL * abs(lam) or change == 0.0:
-                return lam, True, change / max(abs(lam), 1e-300)
+                break
         lam_prev = lam
         change_prev = change if change > 0 else change_prev
-    rel = change / max(abs(lam), 1e-300)
-    return lam, rel <= 100 * COND_TOL, rel
+    else:
+        rel = change / max(abs(lam), 1e-300)
+        if not rel <= 100 * COND_TOL:
+            raise ConvergenceError(f"{method} not settled after {COND_MAX_ITER} iterations "
+                                   f"(last relative change {rel:.2e})")
+    if lam <= 0.0 or not np.isfinite(lam):
+        raise SingularMatrixError(f"matrix has numerically zero {which} singular value")
+    return lam
 
 
 def cond2(A: sp.csr_matrix) -> float:
@@ -494,27 +504,11 @@ def cond2(A: sp.csr_matrix) -> float:
     if A.shape[1] != n:
         raise ValueError(f"matrix must be square, got {A.shape}")
     rng = np.random.default_rng(0x5EED + n)
-    v0 = rng.standard_normal(n)
-
     At = A.T  # built once: A.T makes and checks a new CSC matrix per call
-    lam_max, ok_max, rel_max = _iterate_extreme(lambda v: At @ (A @ v), v0)
-    if not ok_max:
-        raise ConvergenceError(
-            f"power iteration for sigma_max not settled after {COND_MAX_ITER} iterations "
-            f"(last relative change {rel_max:.2e})")
-    if lam_max <= 0.0:
-        raise SingularMatrixError("matrix has numerically zero largest singular value")
-
+    lam_max = _iterate_extreme(lambda v: At @ (A @ v), rng.standard_normal(n),
+                               "power iteration for sigma_max", "largest")
     factor = SparseFactor(A)
-
-    def inv_op(v: np.ndarray) -> np.ndarray:
-        return factor.raw_solve(factor.raw_solve(v, trans="T"))
-
-    lam_inv, ok_min, rel_min = _iterate_extreme(inv_op, rng.standard_normal(n))
-    if not ok_min:
-        raise ConvergenceError(
-            f"inverse iteration for sigma_min not settled after {COND_MAX_ITER} iterations "
-            f"(last relative change {rel_min:.2e})")
-    if lam_inv <= 0.0 or not np.isfinite(lam_inv):
-        raise SingularMatrixError("matrix has numerically zero smallest singular value")
+    lam_inv = _iterate_extreme(lambda v: factor.raw_solve(factor.raw_solve(v, trans="T")),
+                               rng.standard_normal(n), "inverse iteration for sigma_min",
+                               "smallest")
     return float(np.sqrt(lam_max) * np.sqrt(lam_inv))

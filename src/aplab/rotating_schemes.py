@@ -11,6 +11,7 @@ nonsingular down to eps = 0; the shifted factors fill far less than its own.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -97,6 +98,14 @@ def upwind_rotation_matrix(grid: Grid2D) -> sp.csr_matrix:
     return assemble(nx1 * ny1, nx1 * ny1, rows, cols, vals)
 
 
+def stabilization(grid: Grid2D, gamma: float) -> float:
+    """s = (dx dy)^gamma of the multiplier system; inf where it overflows."""
+    try:
+        return (grid.dx * grid.dy) ** gamma
+    except OverflowError:
+        return math.inf
+
+
 def assemble_imp(grid: Grid2D, eps: float, dt: float) -> sp.csr_matrix:
     """System matrix Id + (dt/eps) U of the fully implicit scheme.
 
@@ -123,16 +132,19 @@ def assemble_lagrange_rot(grid: Grid2D, eps: float, dt: float,
     which is <= 1 for every near-real mode. The opposite sign puts
     isolated near-real modes of U in resonance (dt lam^2 ~ s) and the
     step amplifies them without bound.
-    The stable band is measured, not proven: with lam = a + ib, the
-    near-imaginary modes resonate when dt b^2 ~ s. At dt ~ dx/2 on 21^2 to
-    61^2 grids the largest factor is 1 for s/dt <= 0.50 and above 1 for
-    s/dt >= 0.53; acceptance criterion 9 runs at s/dt = 0.587.
+    At eps = 0 the stable band is exact: with lam = a + ib, the factor
+    s / (dt lam^2 + s) is <= 1 exactly when b^2 <= a^2 or s/dt <=
+    |lam|^4 / (2 (b^2 - a^2)). The least such bound over the eigenvalues of
+    U is 0.5388 on 21^2, 0.5096 on 41^2 and 0.5025 on 80^2, so s <= dt/2
+    suffices there; acceptance criterion 9 (80^2) runs above it, at
+    s/dt = 0.587. For eps > 0 the band is only measured: at dt ~ dx/2 on
+    21^2 to 61^2 grids the largest factor is 1 for s/dt <= 0.50.
     """
     U = upwind_rotation_matrix(grid)
     M = U.shape[0]
     Id = sp.identity(M, format="csr")
-    stab = (grid.dx * grid.dy) ** gamma
-    return sp.bmat([[Id, dt * U], [U, -eps * U - stab * Id]], format="csr")
+    return sp.bmat([[Id, dt * U], [U, -eps * U - stabilization(grid, gamma) * Id]],
+                   format="csr")
 
 
 class ImpStepper:
@@ -198,10 +210,9 @@ class LagrangeRotatingStepper:
     with ``_ShiftedFactor``, which keeps only its shifted LUs and this U, and
     sets f = f^n - dt U q. The column sums of U vanish, so that update
     conserves mass whatever the q solve's residual.
-    Its stable band is measured, not proven: with lam = a + ib an eigenvalue
-    of U, the near-imaginary modes resonate when dt b^2 ~ s. At dt ~ dx/2 on
-    21^2 to 61^2 grids the largest growth factor is 1 for s/dt <= 0.50 and
-    above 1 for s/dt >= 0.53; acceptance criterion 9 runs at s/dt = 0.587.
+    Its stable band is that of ``assemble_lagrange_rot``: exact at eps = 0
+    (s/dt below 0.5388 on 21^2, 0.5096 on 41^2, 0.5025 on 80^2, where
+    acceptance criterion 9 runs at s/dt = 0.587), only measured for eps > 0.
     """
 
     initial = staticmethod(_plain)
@@ -209,8 +220,8 @@ class LagrangeRotatingStepper:
     def __init__(self, cfg: RotatingSchemeConfig):
         self.cfg = cfg
         self.U = U = upwind_rotation_matrix(cfg.grid)
-        stab = (cfg.grid.dx * cfg.grid.dy) ** cfg.gamma
-        self.factor = _ShiftedFactor(U, cfg.dt, cfg.model.eps, stab)
+        self.factor = _ShiftedFactor(U, cfg.dt, cfg.model.eps,
+                                     stabilization(cfg.grid, cfg.gamma))
 
     def step(self, f: Field2D) -> tuple[Field2D, SolveStats]:
         fn = f.values.ravel()

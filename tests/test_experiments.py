@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import pickle
 import re
 import tempfile
 from pathlib import Path
@@ -50,6 +51,17 @@ def test_default_params_returns_copy():
     assert default_params("aligned-run")["nx"] == 201
     with pytest.raises(ValueError, match="unknown experiment kind"):
         default_params("nope")
+    with pytest.raises(ValueError, match="unknown experiment kind"):
+        ExperimentConfig("nope", {})
+
+
+def test_a_config_owns_its_lists():
+    # a config merged over shallow copies of the defaults shared their lists
+    cfg = ExperimentConfig("aligned-run", {})
+    cfg.params["schemes"].append("fourier")
+    cfg.params["eps_list"].append(0.5)
+    for params in (ExperimentConfig("aligned-run", {}).params, default_params("aligned-run")):
+        assert params["schemes"] == ["imex"] and params["eps_list"] == [1.0]
 
 
 def test_config_rejects_unknown_key():
@@ -90,6 +102,10 @@ def test_config_value_checks():
     with pytest.raises(ValueError, match="'eps_list': the fully implicit"):
         ExperimentConfig("rotating-run", {"schemes": ["lagrange", "imp"], "eps_list": [1.0, 0]})
     ExperimentConfig("rotating-run", {"schemes": ["lagrange"], "eps_list": [0.0]})
+    # the imex y-system at eps = 0: its cyclic closure pivot beta - beta is exactly 0
+    with pytest.raises(ValueError, match="'eps_list': the y-system of scheme 'imex' at "
+                                         "eps = 0.0, .* closure pivot 0.0 "):
+        ExperimentConfig("point-trace", {"eps_list": [1.0, 0.0]})
     with pytest.raises(ValueError, match="'schemes': entries must be distinct"):
         ExperimentConfig("aligned-run", {"schemes": ["imex", "imex"]})
     with pytest.raises(ValueError, match="'eps_list': entries must be distinct"):
@@ -574,20 +590,35 @@ def test_worker_pool_writes_the_same_bytes(tmp_path):
 
 @pytest.mark.parametrize("entry", TINY_BATCH, ids=lambda entry: entry["kind"])
 def test_runners_step_the_jobs_that_validation_built(tmp_path, monkeypatch, entry):
-    # the runner steps the very scheme configs that validation built, in
-    # their order, and builds none of its own
+    # the runner steps the very scheme configs (cond-sweep: matrix families)
+    # that validation built, in their order, and builds none of its own
     params = {k: v for k, v in entry.items() if k not in ("kind", "name")}
     cfg = ExperimentConfig(entry["kind"], params, "tiny")
     stepped = []
-    for name in ("run_aligned", "run_rotating", "amplification_factors"):
+    for name in ("run_aligned", "run_rotating", "amplification_factors", "cond_sweep"):
         def record(scfg, *args, real=getattr(experiments, name), **kwargs):
             stepped.append(scfg)
             return real(scfg, *args, **kwargs)
 
         monkeypatch.setattr(experiments, name, record)
     experiments._execute_one(cfg, tmp_path)
+    assert cfg.jobs
     assert [id(scfg) for scfg in stepped] == [id(job[2]) for job in cfg.jobs]
-    assert cfg.jobs or entry["kind"] == "cond-sweep"  # its families record failures as NaN
+
+
+@pytest.mark.parametrize("kind,params", [(kind, {}) for kind in EXPERIMENT_KINDS]
+                         + [("cond-sweep", {"toy": 2})])
+def test_jobs_survive_pickle(kind, params):
+    # a worker pool ships configs, jobs included, to its processes
+    cfg = ExperimentConfig(kind, params)
+    copy = pickle.loads(pickle.dumps(cfg.jobs))
+    assert cfg.jobs and len(copy) == len(cfg.jobs)
+    if kind != "cond-sweep":
+        assert copy == cfg.jobs
+        return
+    for (scheme, eps_list, family, _), job in zip(cfg.jobs, copy):
+        assert job[:2] == (scheme, eps_list)
+        assert (family(eps_list[-1]) != job[2](eps_list[-1])).nnz == 0
 
 
 @pytest.mark.parametrize("workers,cpus,pool_size", [

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -9,6 +10,7 @@ from aplab import linalg
 from aplab.aligned_schemes import aligned_lagrange_matrix
 from aplab.grid import make_grid2d
 from aplab.linalg import (
+    MAX_REFINE,
     SOLVE_TOL,
     ConvergenceError,
     CyclicTridiag,
@@ -361,6 +363,29 @@ def test_sparse_factor_singular():
         SparseFactor(M).solve(np.ones(2))
 
 
+def test_sparse_factor_stall_reports_the_achieved_residual(monkeypatch):
+    # Hilbert(10) has cond ~ 1.6e13: the residual of the rounded solution
+    # stays above the bound, so the first pass of refinement does not lower
+    # it and the solve gives up, as the gamma = 1.5 rotating run does
+    A = sp.csr_matrix(sla.hilbert(10))
+    b = np.ones(10)
+    factor = SparseFactor(A)
+    raw_solves = []
+
+    def record(rhs, trans="N", real=factor.raw_solve):
+        out = real(rhs, trans)
+        raw_solves.append(out.copy())  # solve adds the iterate into out
+        return out
+
+    monkeypatch.setattr(factor, "raw_solve", record)
+    with pytest.raises(ConvergenceError, match="sparse solve stalled") as info:
+        factor.solve(b)
+    iterates = np.cumsum(raw_solves, axis=0)
+    rel = [np.linalg.norm(b - A @ x, axis=0) / np.linalg.norm(b, axis=0) for x in iterates]
+    assert len(rel) <= MAX_REFINE and rel[-1] >= rel[-2] > SOLVE_TOL  # the break
+    assert f"relative residual {rel[-2]:.3e} " in str(info.value)
+
+
 def test_sparse_factor_reuse():
     rng = np.random.default_rng(5)
     n = 8
@@ -449,6 +474,23 @@ def test_cond2_scale_invariance():
     c1 = cond2(CyclicTridiag(32, 1.01, -1.0).to_sparse())
     c2 = cond2(CyclicTridiag(32, 137.0 * 1.01, -137.0).to_sparse())
     assert c2 == pytest.approx(c1, rel=1e-4)
+
+
+def test_cond2_zero_matrix_is_singular():
+    with pytest.raises(SingularMatrixError, match="zero largest singular value"):
+        cond2(sp.csr_matrix((4, 4)))
+
+
+@pytest.mark.parametrize("cap, method", [(2, "power iteration for sigma_max"),
+                                         (3, "inverse iteration for sigma_min")])
+def test_cond2_reports_an_unsettled_iteration(monkeypatch, cap, method):
+    # sigma_max of diag(1, 2, 1000) settles by the third iteration, sigma_min
+    # (next singular value twice as large) only after a few more
+    monkeypatch.setattr(linalg, "COND_MAX_ITER", cap)
+    with pytest.raises(ConvergenceError, match=f"{method} not settled after {cap} iterations"):
+        cond2(sp.csr_matrix(np.diag([1.0, 2.0, 1000.0])))
+    monkeypatch.setattr(linalg, "COND_MAX_ITER", 6)
+    assert cond2(sp.csr_matrix(np.diag([1.0, 2.0, 1000.0]))) == pytest.approx(1000.0, rel=1e-5)
 
 
 def test_cond2_rejects_rectangular():

@@ -15,6 +15,7 @@ from aplab.rotating_schemes import (
     assemble_imp,
     assemble_lagrange_rot,
     run_rotating,
+    stabilization,
     upwind_rotation_matrix,
 )
 
@@ -293,6 +294,19 @@ def grid21_upwind_eigenvalues():
     return np.linalg.eigvals(upwind_rotation_matrix(GRID21).toarray())
 
 
+def tail_growth(stepper, grid) -> float:
+    """Mean growth per step of the last 100 of 300 power-iteration steps
+    from a seeded field; U is non-normal, so only the tail is fitted."""
+    f = Field2D(grid, np.random.default_rng(7).standard_normal((grid.nx - 1, grid.ny - 1)))
+    log_growth = []
+    for _ in range(300):
+        g = stepper.step(f)[0].values
+        norm = np.linalg.norm(g)
+        log_growth.append(np.log(norm / np.linalg.norm(f.values)))
+        f = f.with_values(g / norm)
+    return float(np.exp(np.mean(log_growth[-100:])))
+
+
 @pytest.mark.parametrize("gamma, rho_expected", [(0.91, 1.9143), (1.2, 1.0)])
 def test_lagrange_growth_matches_spectral_radius(grid21_upwind_eigenvalues, gamma,
                                                  rho_expected):
@@ -306,20 +320,46 @@ def test_lagrange_growth_matches_spectral_radius(grid21_upwind_eigenvalues, gamm
     mu = grid21_upwind_eigenvalues
     rho = float(np.max(np.abs((eps * mu + s) / (dt * mu ** 2 + eps * mu + s))))
     assert rho == pytest.approx(rho_expected, rel=1e-4 if rho_expected > 1.0 else 1e-12)
-    # power iteration; U is non-normal, so only the tail is fitted
     stepper = LagrangeRotatingStepper(make_cfg("lagrange", eps, dt=dt, grid=GRID21, gamma=gamma))
-    f = Field2D(GRID21, np.random.default_rng(7).standard_normal((20, 20)))
-    log_growth = []
-    for _ in range(300):
-        g = stepper.step(f)[0].values
-        norm = np.linalg.norm(g)
-        log_growth.append(np.log(norm / np.linalg.norm(f.values)))
-        f = f.with_values(g / norm)
-    tail = float(np.exp(np.mean(log_growth[-100:])))
+    tail = tail_growth(stepper, GRID21)
     if rho > 1.0:
         assert tail == pytest.approx(rho, rel=1e-3)
     else:
         assert tail <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("n, least_bound", [(21, 0.5388), (41, 0.5096)])
+def test_eps_zero_stability_limit_is_exact(grid21_upwind_eigenvalues, n, least_bound):
+    # at eps = 0 the step factor on an eigenvalue mu = a + ib of U is
+    # G = s / (dt mu^2 + s), and |G| <= 1 <=> dt |mu|^4 >= 2 s (b^2 - a^2):
+    # a mode with b^2 <= a^2 is stable for every s/dt, any other exactly while
+    # s/dt <= |mu|^4 / (2 (b^2 - a^2)). The least such bound is the grid's
+    # limit on s/dt. The kernel of U, where G = 1, is left out: roundoff
+    # in a zero eigenvalue can put it on either side of b^2 = a^2.
+    grid = make_grid2d(-3, 3, -3, 3, n, n)
+    mu = (grid21_upwind_eigenvalues if n == 21 else
+          np.linalg.eigvals(upwind_rotation_matrix(grid).toarray()))
+    mu = mu[np.abs(mu) > 1e-10]
+    a2, b2 = mu.real ** 2, mu.imag ** 2
+    bound = np.full(mu.shape, np.inf)
+    bound[b2 > a2] = np.abs(mu[b2 > a2]) ** 4 / (2.0 * (b2 - a2)[b2 > a2])
+    least = float(bound.min())
+    assert least == pytest.approx(least_bound, abs=5e-5)
+    s = stabilization(grid, 0.91)
+    for ratio in (0.3, 0.5, 0.98 * least, 1.02 * least, 0.6, 2.0):
+        dt = s / ratio
+        stable = np.abs(s / (dt * mu ** 2 + s)) <= 1.0
+        assert np.array_equal(stable, s / dt <= bound), ratio
+    # power iteration on either side of the limit
+    for ratio in (0.98 * least, 1.02 * least):
+        dt = s / ratio
+        rho = float(np.max(np.abs(s / (dt * mu ** 2 + s))))
+        tail = tail_growth(LagrangeRotatingStepper(make_cfg("lagrange", 0.0, dt=dt, grid=grid)),
+                           grid)
+        if ratio > least:
+            assert rho > 1.03 and tail == pytest.approx(rho, rel=1e-4)
+        else:
+            assert rho < 1.0 and tail <= 1.0 + 1e-9
 
 
 @pytest.mark.parametrize("n", [20, 30])
