@@ -225,7 +225,7 @@ class ExperimentConfig:
         if 0.0 in p.get("eps_list", ()) and "imp" in p.get("schemes", ()):
             raise ValueError("key 'eps_list': the fully implicit scheme 'imp' needs eps > 0")
         if 0.0 in p.get("eps_list", ()) and self.kind in ("eps-sweep", "cond-sweep"):
-            # the exact solution and the slope fit over log(eps) need eps > 0
+            # eps > 0 for eps-sweep's exact solution and log eps axis, cond-sweep's log(eps) fit
             raise ValueError(f"key 'eps_list': {self.kind} needs eps > 0")
         self.jobs = _jobs(self.kind, p)  # checks the values derived from several keys
 
@@ -302,13 +302,13 @@ def _write_field(path: Path, field) -> Path:
 
 
 def _write_run(out: Path, tag: str, result) -> list:
-    """Snapshot fields and per-step diagnostics of one run."""
-    files = [_write_field(out / f"field_{tag}_snap{idx}.csv", fld)
-             for idx, (_, fld) in enumerate(result.snapshots)]
-    files.append(_write_csv(
-        out / f"diagnostics_{tag}.csv", ["step", "t", "mass", "residual_norm", "iterations"],
-        ((r.step, r.t, r.mass, r.residual_norm, r.iterations) for r in result.diagnostics)))
-    return files
+    """Snapshot fields and per-step diagnostics of one run; returns the fields' paths."""
+    fields = [_write_field(out / f"field_{tag}_snap{idx}.csv", fld)
+              for idx, (_, fld) in enumerate(result.snapshots)]
+    _write_csv(out / f"diagnostics_{tag}.csv",
+               ["step", "t", "mass", "residual_norm", "iterations"],
+               ((r.step, r.t, r.mass, r.residual_norm, r.iterations) for r in result.diagnostics))
+    return fields
 
 
 def _sha256(path: Path) -> str:
@@ -327,8 +327,8 @@ def _plots(files, style: str) -> list:
 
 
 # ---------------------------------------------------------------------------
-# experiment kinds; each runner writes its CSVs and returns them with the
-# lines of its gnuplot script
+# experiment kinds; each runner writes its CSVs and returns the lines of its
+# gnuplot script
 
 
 def _derived(key: str, name: str, value: float, ok: bool) -> None:
@@ -419,18 +419,15 @@ def _aligned_errors(scfg: AlignedSchemeConfig, result) -> tuple:
     return t_end, eta, error_gamma(final, limit_aligned(m, t_end, grid))
 
 
-def _run_aligned_run(cfg: ExperimentConfig, out: Path) -> tuple:
-    files = []
+def _run_aligned_run(cfg: ExperimentConfig, out: Path) -> list:
+    fields = []
     error_rows = []
     for scheme, eps, scfg, n_steps in cfg.jobs:
         result = run_aligned(scfg, n_steps)
-        files += _write_run(out, f"{scheme}_eps{_eps_tag(eps)}", result)
+        fields = (fields + _write_run(out, f"{scheme}_eps{_eps_tag(eps)}", result))[:4]
         error_rows.append((scheme, eps, *_aligned_errors(scfg, result)))
-    plots = [f"splot \"{f.name}\" every ::1 using 1:2:3 with points palette"
-             for f in files if f.name.startswith("field_")][:4]
-    files.append(_write_csv(out / "errors.csv", ["scheme", "eps", "t", "eta", "gamma"],
-                            error_rows))
-    return files, plots
+    _write_csv(out / "errors.csv", ["scheme", "eps", "t", "eta", "gamma"], error_rows)
+    return [f"splot \"{f.name}\" every ::1 using 1:2:3 with points palette" for f in fields]
 
 
 def _circle_radius(lx: float, ly: float) -> float:
@@ -438,47 +435,46 @@ def _circle_radius(lx: float, ly: float) -> float:
     return min(1.0, lx / 4.0, ly / 4.0)
 
 
-def _run_rotating_run(cfg: ExperimentConfig, out: Path) -> tuple:
-    files = []
+def _run_rotating_run(cfg: ExperimentConfig, out: Path) -> list:
+    cuts = []
     summary = []
     for scheme, eps, scfg, n_steps in cfg.jobs:
         result = run_rotating(scfg, n_steps)
         tag = f"{scheme}_eps{_eps_tag(eps)}"
-        files += _write_run(out, tag, result)
+        _write_run(out, tag, result)
         t_end, final = result.snapshots[-1]
         grid = scfg.grid
         # cut along the column nearest x = 0, as in the reference plots
         i_cut = int(np.argmin(np.abs(grid.x_nodes())))
         ys = grid.y_nodes()
-        files.append(_write_csv(out / f"cut_{tag}.csv", ["y", "value"],
-                                ((ys[j], final.values[i_cut, j]) for j in range(grid.ny - 1))))
+        cuts.append(_write_csv(out / f"cut_{tag}.csv", ["y", "value"],
+                               ((ys[j], final.values[i_cut, j]) for j in range(grid.ny - 1))))
         summary.append((scheme, eps, t_end, float(final.values.max()),
                         circle_average(final, _circle_radius(grid.lx, grid.ly))))
-    files.append(_write_csv(out / "summary.csv", ["scheme", "eps", "t", "peak", "circle_avg"],
-                            summary))
-    return files, _plots([f for f in files if f.name.startswith("cut_")], "lines")
+    _write_csv(out / "summary.csv", ["scheme", "eps", "t", "peak", "circle_avg"], summary)
+    return _plots(cuts, "lines")
 
 
-def _run_point_trace(cfg: ExperimentConfig, out: Path) -> tuple:
+def _run_point_trace(cfg: ExperimentConfig, out: Path) -> list:
     i_pt, j_pt = int(cfg.params["point"][0]), int(cfg.params["point"][1])
-    files = []
+    traces = []
     for scheme, eps, scfg, n_steps in cfg.jobs:
         result = run_aligned(scfg, n_steps, snapshot_steps=range(n_steps + 1))
-        files.append(_write_csv(out / f"trace_{scheme}_eps{_eps_tag(eps)}.csv", ["t", "value"],
-                                ((t, fld.values[i_pt, j_pt]) for t, fld in result.snapshots)))
-    return files, _plots(files, "lines")
+        traces.append(_write_csv(out / f"trace_{scheme}_eps{_eps_tag(eps)}.csv", ["t", "value"],
+                                 ((t, fld.values[i_pt, j_pt]) for t, fld in result.snapshots)))
+    return _plots(traces, "lines")
 
 
-def _run_eps_sweep(cfg: ExperimentConfig, out: Path) -> tuple:
+def _run_eps_sweep(cfg: ExperimentConfig, out: Path) -> list:
     rows = {}
     for scheme, eps, scfg, n_steps in cfg.jobs:
         result = run_aligned(scfg, n_steps)
         rows.setdefault(scheme, []).append((eps, *_aligned_errors(scfg, result)))
-    files = [_write_csv(out / f"errors_{scheme}.csv", ["eps", "t", "eta", "gamma"], r)
-             for scheme, r in rows.items()]
-    return files, ["set logscale x"] + [
+    errors = [_write_csv(out / f"errors_{scheme}.csv", ["eps", "t", "eta", "gamma"], r)
+              for scheme, r in rows.items()]
+    return ["set logscale x"] + [
         f"plot \"{f.name}\" skip 1 using 1:3 with linespoints title \"eta\", "
-        f"\"{f.name}\" skip 1 using 1:4 with linespoints title \"gamma\"" for f in files]
+        f"\"{f.name}\" skip 1 using 1:4 with linespoints title \"gamma\"" for f in errors]
 
 
 _SWEEP_SETUPS = {
@@ -517,30 +513,28 @@ def _convergence_point(scfg: AlignedSchemeConfig, n_steps: int, vary: str) -> tu
     return {"dx": scfg.grid.dx, "dy": scfg.grid.dy, "dt": scfg.dt}[vary], eta
 
 
-def _run_convergence(cfg: ExperimentConfig, out: Path) -> tuple:
+def _run_convergence(cfg: ExperimentConfig, out: Path) -> list:
     vary = cfg.params["vary"]
-    files = []
+    errors = []
     slope_rows = []
     for scheme in cfg.params["schemes"]:
         rows = [_convergence_point(c, k, vary) for s, _, c, k in cfg.jobs if s == scheme]
-        files.append(_write_csv(out / f"errors_{vary}_{scheme}.csv", [vary, "eta"], rows))
+        errors.append(_write_csv(out / f"errors_{vary}_{scheme}.csv", [vary, "eta"], rows))
         slope_rows.append(_slope_row(scheme, [r[0] for r in rows], [r[1] for r in rows],
                                      fit=_fits_slope(vary, scheme)))
-    plots = ["set logscale xy"] + _plots(files, "linespoints")
-    files.append(_write_csv(out / "slopes.csv", ["scheme", "slope", "spread"], slope_rows))
-    return files, plots
+    _write_csv(out / "slopes.csv", ["scheme", "slope", "spread"], slope_rows)
+    return ["set logscale xy"] + _plots(errors, "linespoints")
 
 
-def _run_cond_sweep(cfg: ExperimentConfig, out: Path) -> tuple:
-    files = []
+def _run_cond_sweep(cfg: ExperimentConfig, out: Path) -> list:
+    tables = []
     slope_rows = []
     for label, eps_list, family, _ in cfg.jobs:
         table = cond_sweep(family, eps_list)
-        files.append(_write_csv(out / f"cond_{label}.csv", ["eps", "cond2"], table))
+        tables.append(_write_csv(out / f"cond_{label}.csv", ["eps", "cond2"], table))
         slope_rows.append(_slope_row(label, eps_list, [v for _, v in table]))
-    plots = ["set logscale xy"] + _plots(files, "linespoints")
-    files.append(_write_csv(out / "slopes.csv", ["scheme", "slope", "spread"], slope_rows))
-    return files, plots
+    _write_csv(out / "slopes.csv", ["scheme", "slope", "spread"], slope_rows)
+    return ["set logscale xy"] + _plots(tables, "linespoints")
 
 
 def _stability_config(p: dict, alpha: float) -> AlignedSchemeConfig:
@@ -551,12 +545,12 @@ def _stability_config(p: dict, alpha: float) -> AlignedSchemeConfig:
                            keys)
 
 
-def _run_stability_scan(cfg: ExperimentConfig, out: Path) -> tuple:
+def _run_stability_scan(cfg: ExperimentConfig, out: Path) -> list:
     n = int(cfg.params["n"])
     rows = [(float(alpha), float(np.abs(amplification_factors(scfg)[:(n + 1) // 2, 0]).max()))
             for _, alpha, scfg, _ in cfg.jobs]
-    return ([_write_csv(out / "stability.csv", ["alpha", "max_xi"], rows)],
-            ["plot \"stability.csv\" skip 1 using 1:2 with linespoints, 1.0"])
+    _write_csv(out / "stability.csv", ["alpha", "max_xi"], rows)
+    return ["plot \"stability.csv\" skip 1 using 1:2 with linespoints, 1.0"]
 
 
 def _xi_fourier(scfg: AlignedSchemeConfig, k: int, l: int) -> float:
@@ -579,7 +573,7 @@ def _amplification_config(p: dict, eps: float, scheme: str) -> AlignedSchemeConf
                            keys)
 
 
-def _run_amplification_check(cfg: ExperimentConfig, out: Path) -> tuple:
+def _run_amplification_check(cfg: ExperimentConfig, out: Path) -> list:
     p = cfg.params
     n = int(p["n"])
     rows = []
@@ -591,9 +585,9 @@ def _run_amplification_check(cfg: ExperimentConfig, out: Path) -> tuple:
                 formula = (_xi_fourier(scfg, k, l) if scheme == "fourier" else
                            xi_imex(scfg.alpha, scfg.beta, eps, k, l, scfg.grid.dx, scfg.grid.dy))
                 rows.append((scheme, eps, k, l, measured, formula, abs(measured - formula)))
-    path = _write_csv(out / "amplification.csv",
-                      ["scheme", "eps", "k", "l", "measured", "formula", "abs_diff"], rows)
-    return [path], ["plot \"amplification.csv\" skip 1 using 5:6 with points"]
+    _write_csv(out / "amplification.csv",
+               ["scheme", "eps", "k", "l", "measured", "formula", "abs_diff"], rows)
+    return ["plot \"amplification.csv\" skip 1 using 5:6 with points"]
 
 
 def _jobs(kind: str, p: dict) -> list:
@@ -653,11 +647,10 @@ def _execute_one(cfg: ExperimentConfig, out_base: Path) -> tuple:
     try:
         shutil.rmtree(partial, ignore_errors=True)
         partial.mkdir(parents=True)
-        files, plot_lines = _RUNNERS[cfg.kind](cfg, partial)
-        gp = partial / "plot.gp"
-        gp.write_text("set datafile separator \",\"\nset key outside\n"
-                      + "\n".join(plot_lines) + "\n", encoding="utf-8")
-        files.append(gp)
+        plot_lines = _RUNNERS[cfg.kind](cfg, partial)
+        (partial / "plot.gp").write_text("set datafile separator \",\"\nset key outside\n"
+                                         + "\n".join(plot_lines) + "\n", encoding="utf-8")
+        files = sorted(partial.iterdir())
         manifest = {
             "config": {"kind": cfg.kind, "name": cfg.name, **cfg.params},
             "outputs": [{"path": f.name, "sha256": _sha256(f)} for f in files],

@@ -147,12 +147,7 @@ class CyclicTridiag:
             raise ValueError(f"dimension must be >= 1, got {self.n}")
 
     def to_dense(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
-        np.fill_diagonal(a, self.d)
-        for j in range(1, self.n):
-            a[j, j - 1] = self.s
-        a[0, self.n - 1] += self.s
-        return a
+        return self.to_sparse().toarray()
 
     def to_sparse(self) -> sp.csr_matrix:
         # at n = 1 the corner entry falls on the diagonal and is summed into it
@@ -499,10 +494,13 @@ def cond2(A: sp.csr_matrix) -> float:
     iteration has clearly not settled after ``COND_MAX_ITER`` iterations.
     The estimate reads low, and is within COND_TOL only if each extreme
     singular value is well apart from the next (see ``_iterate_extreme``).
+    Both iterations run on A 2^-e (e: exponent of max |a|), which is exact and keeps A^T A finite.
     """
     n = A.shape[0]
     if A.shape[1] != n:
         raise ValueError(f"matrix must be square, got {A.shape}")
+    A = A.copy()
+    A.data = np.ldexp(A.data, -np.frexp(_max_abs(A.data))[1])
     rng = np.random.default_rng(0x5EED + n)
     At = A.T  # built once: A.T makes and checks a new CSC matrix per call
     lam_max = _iterate_extreme(lambda v: At @ (A @ v), rng.standard_normal(n),

@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aplab import experiments
-from aplab.aligned_schemes import AlignedScheme
+from aplab.aligned import exact_aligned, limit_aligned
+from aplab.aligned_schemes import AlignedScheme, aligned_lagrange_matrix
+from aplab.analysis import amplification_factors, cond_family_aligned, error_eta, error_gamma
 from aplab.cli import main
 from aplab.experiments import (
     EXPERIMENT_KINDS,
@@ -24,7 +26,8 @@ from aplab.experiments import (
     load_configs,
     run_experiment,
 )
-from aplab.grid import Field2D, make_grid2d
+from aplab.grid import Field2D, make_grid2d, sample
+from aplab.linalg import SparseFactor, cond2
 from aplab.rotating_schemes import RotatingScheme
 
 FLOAT_RE = re.compile(r"-?\d\.\d{16}e[+-]\d{2,3}$")
@@ -560,6 +563,23 @@ def test_rerun_replaces_the_output_directory(tmp_path):
     assert _listed_equals_on_disk(out / "tiny")
 
 
+def test_manifest_lists_every_file_in_name_order(tmp_path, monkeypatch):
+    # a file the runner writes but names in no plot line is listed too
+    def with_extra(cfg, out):
+        (out / "extra.csv").write_text("x\n1\n", encoding="utf-8")
+        return runner(cfg, out)
+
+    runner = experiments._RUNNERS["stability-scan"]
+    monkeypatch.setitem(experiments._RUNNERS, "stability-scan", with_extra)
+    entry = {"kind": "stability-scan", "name": "stab", "n": 8, "alpha_list": [0.9]}
+    assert run_experiment(write_config(tmp_path, entry), str(tmp_path / "out")) == 0
+    out = tmp_path / "out" / "stab"
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert [o["path"] for o in outputs] == ["extra.csv", "plot.gp", "stability.csv"]
+    assert outputs[0]["sha256"] == hashlib.sha256(b"x\n1\n").hexdigest()
+    assert _listed_equals_on_disk(out)
+
+
 # one tiny entry of each kind, so that every kind's jobs are covered
 TINY_BATCH = [
     dict(TINY_ALIGNED, name="first", nt=3),
@@ -719,6 +739,110 @@ def test_cond_sweep_outputs(tmp_path):
         lines = (out / f"cond_{scheme}.csv").read_text().splitlines()
         assert lines[0] == "eps,cond2"
         assert len(lines) == 4
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cond_sweep_measures_huge_entries(tmp_path):
+    # A^T A of these matrices overflows unless cond2 scales A first; imex is
+    # exactly singular (eps + beta rounds to beta) and the Lagrange inverse
+    # iteration does not settle, so both stay NaN
+    entry = {"kind": "cond-sweep", "name": "huge", "ny": 8, "beta": 1e200,
+             "eps_list": [1e-2, 1e-3, 1e-4]}
+    assert run_experiment(write_config(tmp_path, entry), str(tmp_path / "out")) == 0
+    out = tmp_path / "out" / "huge"
+    table = {s: [float(r.split(",")[1]) for r in
+                 (out / f"cond_{s}.csv").read_text().splitlines()[1:]]
+             for s in ("imex", "micro-macro", "lagrange")}
+    assert np.isnan(table["imex"]).all() and np.isnan(table["lagrange"]).all()
+    # the condition number is scale-free: the value of the same matrix at beta = 1e20
+    expected = cond2(cond_family_aligned("micro-macro", 7, 1e20)(1e-2))
+    assert table["micro-macro"] == pytest.approx([expected] * 3, rel=1e-12)
+
+
+def _y_condition(scfg) -> float:
+    """kappa_inf of the linear system a step of ``scfg`` solves per column.
+
+    The cyclic system of imex and micro-macro is the M-matrix A with
+    A 1 = eps 1, so |A^-1|_inf = 1 / eps and kappa_inf = (eps + 2 beta) / eps.
+    The Lagrange system's |A^-1|_inf = |A^-T|_1 is Hager's estimate (the one
+    LAPACK's condition estimators use). Fourier solves no system: 1.
+    """
+    eps, beta, scheme = scfg.model.eps, scfg.beta, scfg.scheme
+    if scheme is AlignedScheme.FOURIER or (eps == 0.0 and scheme is AlignedScheme.MICRO_MACRO):
+        return 1.0
+    if scheme is not AlignedScheme.LAGRANGE:
+        return (eps + 2.0 * beta) / eps
+    A = aligned_lagrange_matrix(scfg.grid.ny - 1, beta, eps)
+    factor = SparseFactor(A)
+    x = np.full(A.shape[0], 1.0 / A.shape[0])
+    for _ in range(5):
+        y = factor.raw_solve(x, trans="T")
+        z = factor.raw_solve(np.sign(y))
+        j = int(np.argmax(np.abs(z)))
+        if abs(z[j]) <= z @ x:
+            break
+        x = np.zeros_like(x)
+        x[j] = 1.0
+    return float(abs(A).sum(axis=1).max() * np.abs(y).sum())
+
+
+def _written_errors(cfg, out: Path) -> list:
+    """(eta, gamma) of every written error row in job order; convergence
+    writes no gamma (NaN here)."""
+    if cfg.kind == "aligned-run":
+        files = [out / "errors.csv"]
+    else:
+        pattern = "errors_{}.csv" if cfg.kind == "eps-sweep" else "errors_dt_{}.csv"
+        files = [out / pattern.format(s) for s in cfg.params["schemes"]]
+    return [(float(r["eta"]), float(r.get("gamma", "nan")))
+            for f in files for r in csv.DictReader(f.read_text(encoding="utf-8").splitlines())]
+
+
+def test_written_model1_errors_follow_the_discrete_scheme(tmp_path):
+    """Each written eta and gamma against ifft2(xi^N fft2(f0)), xi from
+    ``amplification_factors``: the aligned schemes are linear and
+    shift-invariant, so that is the final field of a run, up to rounding.
+
+    Rounding model: in each of the N steps, on the run side and in xi^N, the
+    y-solve of a backward-stable method adds a forward error of at most
+    kappa_inf u max|f| (``_y_condition``), and the FFTs of the Fourier step
+    and of the prediction log2(M) u max|f| on M nodes; a factor 10 covers
+    the upwind step's few flops and the two sides. So the errors of the run
+    and the prediction differ by at most 10 N (kappa_inf + log2 M) u max|f0|.
+
+    vary dx and dy are left out: their fixed nt = 3201 costs about 2.5 s
+    per sweep, against about 0.7 s for all of these runs together.
+    """
+    batch = [
+        {"kind": "aligned-run", "name": "run", "nx": 17, "ny": 17,
+         "schemes": ["imex", "fourier", "micro-macro", "lagrange"], "eps_list": [1e-3, 1.0]},
+        {"kind": "aligned-run", "name": "limit", "nx": 17, "ny": 17,
+         "schemes": ["fourier", "micro-macro", "lagrange"], "eps_list": [0.0]},
+        {"kind": "eps-sweep", "name": "sweep", "nx": 33, "ny": 33, "nt": 41,
+         "eps_list": [1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6]},
+        {"kind": "convergence", "name": "dt", "vary": "dt", "n_list": [9, 17, 33],
+         "schemes": ["imex", "fourier", "micro-macro", "lagrange"]},
+    ]
+    path = write_config(tmp_path, batch)
+    assert run_experiment(path, str(tmp_path / "out")) == 0
+    for cfg in load_configs(path):
+        written = _written_errors(cfg, tmp_path / "out" / cfg.name)
+        assert len(written) == len(cfg.jobs)
+        for (scheme, _, scfg, n_steps), (eta, gamma) in zip(cfg.jobs, written):
+            grid, model = scfg.grid, scfg.model
+            f0 = sample(grid, model.f_in).values
+            final = np.fft.ifft2(amplification_factors(scfg) ** n_steps * np.fft.fft2(f0)).real
+            predicted, t = Field2D(grid, final), n_steps * scfg.dt
+            tol = (10 * n_steps * (_y_condition(scfg) + math.log2(f0.size))
+                   * np.finfo(float).eps * np.abs(f0).max())
+            label = f"{cfg.name} {scheme} eps={model.eps} N={n_steps}"
+            if model.eps > 0.0:
+                assert abs(eta - error_eta(predicted, exact_aligned(model, t, grid))) <= tol, label
+            else:
+                assert np.isnan(eta), label
+            if cfg.kind != "convergence":
+                gamma_p = error_gamma(predicted, limit_aligned(model, t, grid))
+                assert abs(gamma - gamma_p) <= tol, label
 
 
 def test_amplification_check_outputs(tmp_path):
