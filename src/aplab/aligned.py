@@ -70,12 +70,19 @@ def exact_aligned(m: AlignedModel, t: float, grid: Grid2D) -> Field2D:
     return sample(grid, shifted)
 
 
+def _row_means(values: np.ndarray) -> np.ndarray:
+    """``mean(axis=1)`` of ``values`` in C order, bit for bit, whatever their
+    layout (numpy sums a contiguous row pairwise, a strided one in order),
+    without ``mean``'s set-up, which costs more than the sum on thin grids."""
+    return np.add.reduce(np.ascontiguousarray(values), axis=1) / values.shape[1]
+
+
 def y_average(f: Field2D) -> np.ndarray:
     """Discrete mean over the independent y-nodes for each x-node.
 
     On periodic equispaced data the plain mean is the trapezoid rule.
     """
-    return f.values.mean(axis=1)
+    return _row_means(f.values)
 
 
 def limit_aligned(m: AlignedModel, t: float, grid: Grid2D) -> np.ndarray:

@@ -31,6 +31,7 @@ from .analysis import (amplification_factors, cond_family_aligned, cond_family_r
                        cond_sweep, error_eta, error_gamma, fit_loglog_slope, xi_imex)
 from .grid import make_grid2d
 from .linalg import ConvergenceError, SingularMatrixError
+from .results import DIAGNOSTICS
 from .rotating import RotatingModel, circle_average, ic_gaussian
 from .rotating_schemes import RotatingScheme, RotatingSchemeConfig, run_rotating, stabilization
 
@@ -305,9 +306,7 @@ def _write_run(out: Path, tag: str, result) -> list:
     """Snapshot fields and per-step diagnostics of one run; returns the fields' paths."""
     fields = [_write_field(out / f"field_{tag}_snap{idx}.csv", fld)
               for idx, (_, fld) in enumerate(result.snapshots)]
-    _write_csv(out / f"diagnostics_{tag}.csv",
-               ["step", "t", "mass", "residual_norm", "iterations"],
-               ((r.step, r.t, r.mass, r.residual_norm, r.iterations) for r in result.diagnostics))
+    _write_csv(out / f"diagnostics_{tag}.csv", DIAGNOSTICS, result.diagnostics)
     return fields
 
 

@@ -219,8 +219,7 @@ class _DenseInverse:
             raise SingularMatrixError(f"dense inverse failed: {exc}") from exc
 
     def raw_solve(self, rhs: np.ndarray) -> np.ndarray:
-        # column-major, like SuperLU's solutions: numpy sums micro-macro's
-        # column means in an order that depends on the layout
+        # column-major like SuperLU's, so the residual's column blocks are contiguous
         return np.matmul(self.inverse, rhs, out=np.empty(rhs.shape, order="F"))
 
 
@@ -354,9 +353,7 @@ def assemble(n_rows: int, n_cols: int, rows, cols, vals) -> sp.csr_matrix:
         if not np.all(np.isfinite(vals)):
             raise ValueError("non-finite triplet value")
     coo = sp.coo_matrix((vals, (rows, cols)), shape=(n_rows, n_cols))
-    csr = coo.tocsr()
-    csr.sum_duplicates()
-    return csr
+    return coo.tocsr()  # sums duplicates, in canonical form
 
 
 def _norm1_and_dominance(A: sp.csr_matrix) -> tuple[float, bool]:
@@ -451,8 +448,8 @@ def _iterate_extreme(apply_op, v0: np.ndarray, method: str, which: str) -> float
     only while r is steady and below 0.999; near-equal top eigenvalues make
     it stop early and low. Raises ConvergenceError, naming ``method``, when
     the iteration has clearly not settled after ``COND_MAX_ITER`` iterations,
-    and SingularMatrixError, naming the ``which`` singular value, when the
-    eigenvalue is not finite and > 0.
+    and SingularMatrixError, naming the ``which`` singular value, as soon as
+    an iterate's norm, or at the end the eigenvalue, is not finite and > 0.
     """
     v = v0 / np.linalg.norm(v0)
     lam_prev = 0.0
@@ -460,9 +457,8 @@ def _iterate_extreme(apply_op, v0: np.ndarray, method: str, which: str) -> float
     for it in range(1, COND_MAX_ITER + 1):
         w = apply_op(v)
         nw = np.linalg.norm(w)
-        if nw == 0.0:
-            lam = 0.0
-            break
+        if not (np.isfinite(nw) and nw > 0.0):
+            raise SingularMatrixError(f"matrix has numerically zero {which} singular value")
         lam = float(v @ w)
         v = w / nw
         change = abs(lam - lam_prev)

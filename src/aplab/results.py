@@ -9,23 +9,16 @@ from .grid import Field2D, sample
 __all__ = ["RunResult", "run_steps"]
 
 
-@dataclass
-class StepRecord:
-    """Per-step diagnostics: discrete mass and solver outcome."""
-
-    step: int
-    t: float
-    mass: float
-    residual_norm: float = 0.0
-    iterations: int = 0
+# the columns of a diagnostics row: discrete mass and solver outcome per step
+DIAGNOSTICS = ("step", "t", "mass", "residual_norm", "iterations")
 
 
 @dataclass
 class RunResult:
-    """Snapshots and per-step diagnostics of one run."""
+    """Snapshots and per-step diagnostics rows (see ``DIAGNOSTICS``) of one run."""
 
     snapshots: list[tuple[float, Field2D]] = field(default_factory=list)
-    diagnostics: list[StepRecord] = field(default_factory=list)
+    diagnostics: list[tuple] = field(default_factory=list)
 
 
 def run_steps(cfg, make_stepper, n_steps: int, snapshot_steps=None) -> RunResult:
@@ -35,8 +28,8 @@ def run_steps(cfg, make_stepper, n_steps: int, snapshot_steps=None) -> RunResult
     rest is read by ``make_stepper``. The stepper's ``initial(f0)`` builds its state from the
     sampled field and ``step(state)`` returns ``(state, SolveStats)``; every
     state exposes ``.field`` and ``.mass()``; the field is kept at each step in
-    ``snapshot_steps`` (integers in 0..n_steps; default 0 and n_steps). Mass and
-    solver residuals are recorded every step, and a failing step names its index.
+    ``snapshot_steps`` (integers in 0..n_steps; default 0 and n_steps). Each step
+    appends its ``DIAGNOSTICS`` row, and a failing step names its index.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
@@ -55,7 +48,7 @@ def run_steps(cfg, make_stepper, n_steps: int, snapshot_steps=None) -> RunResult
     state = first
 
     result = RunResult()
-    result.diagnostics.append(StepRecord(0, 0.0, state.mass()))
+    result.diagnostics.append((0, 0.0, state.mass(), 0.0, 0))
     if 0 in snap_steps:
         result.snapshots.append((0.0, state.field))
     for n in range(1, n_steps + 1):
@@ -65,8 +58,7 @@ def run_steps(cfg, make_stepper, n_steps: int, snapshot_steps=None) -> RunResult
             exc.args = (f"step {n}: {exc}",) + exc.args[1:]
             raise
         t = n * cfg.dt
-        result.diagnostics.append(
-            StepRecord(n, t, state.mass(), stats.residual_norm, stats.iterations))
+        result.diagnostics.append((n, t, state.mass(), stats.residual_norm, stats.iterations))
         if n in snap_steps:
             result.snapshots.append((t, state.field))
     return result

@@ -194,13 +194,12 @@ class _ShiftedFactor(SparseFactor):
             del factor.matrix  # only raw-solved: frees U - r Id before the next LU
             self._shifted.append(factor)
 
-    def raw_solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
-        # the factors commute, so the transposed solve takes the same order
-        y = self._shifted[0].raw_solve(rhs, trans)
+    def raw_solve(self, rhs: np.ndarray) -> np.ndarray:
+        y = self._shifted[0].raw_solve(rhs)
         if len(self._shifted) == 2:
-            return self._shifted[1].raw_solve(y, trans) / self.dt
+            return self._shifted[1].raw_solve(y) / self.dt
         # the conj(r1) solve, real part kept: Re conj(F^-1 conj(y)) = Re F^-1 conj(y)
-        return self._shifted[0].raw_solve(y.conj(), trans).real / self.dt
+        return self._shifted[0].raw_solve(y.conj()).real / self.dt
 
 
 class LagrangeRotatingStepper:

@@ -18,6 +18,7 @@ from aplab.experiments import run_experiment
 from aplab.grid import make_grid2d
 from aplab.linalg import (CyclicTridiag, SingularMatrixError, SparseFactor,
                           assemble, cond2, solve_cyclic)
+from aplab.results import DIAGNOSTICS
 from aplab.rotating import RotatingModel, ic_gaussian
 from aplab.rotating_schemes import (RotatingScheme, RotatingSchemeConfig,
                                     run_rotating)
@@ -157,6 +158,7 @@ def test_criterion_05_condition_number_slopes(tmp_path, verdict):
 
 
 def test_criterion_06_mass_conservation(verdict):
+    i_mass = DIAGNOSTICS.index("mass")
     worst = 0.0
     grid = make_grid2d(0.0, 2.0 * np.pi, 0.0, 2.0 * np.pi, 65, 65)
     for eps in (1.0, 1e-4):
@@ -164,7 +166,7 @@ def test_criterion_06_mass_conservation(verdict):
             model = AlignedModel(a=0.1, b=1.0, eps=eps, f_in=ic_gaussian)
             cfg = AlignedSchemeConfig(model, grid, 0.01, scheme)
             res = run_aligned(cfg, 100)
-            masses = np.array([d.mass for d in res.diagnostics])
+            masses = np.array([d[i_mass] for d in res.diagnostics])
             worst = max(worst, float(np.max(np.abs(masses - masses[0]))
                                      / abs(masses[0])))
     rgrid = make_grid2d(-3.0, 3.0, -3.0, 3.0, 40, 40)
@@ -173,7 +175,7 @@ def test_criterion_06_mass_conservation(verdict):
             model = RotatingModel(eps, ic_gaussian)
             cfg = RotatingSchemeConfig(model, rgrid, 0.1, scheme=scheme)
             res = run_rotating(cfg, 100)
-            masses = np.array([d.mass for d in res.diagnostics])
+            masses = np.array([d[i_mass] for d in res.diagnostics])
             worst = max(worst, float(np.max(np.abs(masses - masses[0]))
                                      / abs(masses[0])))
     verdict(6, worst <= 1e-11,

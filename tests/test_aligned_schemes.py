@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from aplab.aligned import AlignedModel, ic_two_mode, y_average
+from aplab.aligned import AlignedModel, _row_means, ic_two_mode, y_average
 from aplab.aligned_schemes import (
     AlignedScheme,
     AlignedSchemeConfig,
@@ -10,7 +10,6 @@ from aplab.aligned_schemes import (
     LagrangeAlignedStepper,
     MicroMacroState,
     MicroMacroStepper,
-    _column_means,
     aligned_lagrange_matrix,
     make_aligned_stepper,
     run_aligned,
@@ -198,10 +197,13 @@ def test_micromacro_state_rejects_one_column_off_zero():
 
 
 def test_micromacro_column_means_match_numpy_bit_for_bit():
+    # the same bytes whatever the layout a solve returns: numpy sums a
+    # contiguous row pairwise but a strided one in order
     rng = np.random.default_rng(5)
-    for shape in [(100, 7), (400, 400), (8, 1)]:
+    for shape in [(100, 7), (400, 400), (16, 16), (8, 1)]:
         h = rng.standard_normal(shape)
-        assert np.array_equal(_column_means(h), h.mean(axis=1))
+        for layout in (h, np.asfortranarray(h)):
+            assert np.array_equal(_row_means(layout), h.mean(axis=1))
 
 
 def test_micromacro_y_independent_keeps_h_zero():

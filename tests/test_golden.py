@@ -17,6 +17,7 @@ import hashlib
 import json
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 from aplab.experiments import run_experiment
@@ -48,11 +49,18 @@ CONFIG = [
 
 
 def checksums(work: Path) -> dict:
-    """Run CONFIG under ``work``; sha256 of every output but the manifests."""
+    """Run CONFIG under ``work``; sha256 of every output but the manifests.
+
+    A RuntimeWarning (an overflow, an invalid value) fails the run, so a
+    change that starts to compute on inf or NaN cannot pass unseen.
+    """
     cfg = work / "golden.json"
     cfg.write_text(json.dumps(CONFIG), encoding="utf-8")
     out = work / "out"
-    if run_experiment(str(cfg), str(out)) != 0:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        status = run_experiment(str(cfg), str(out))
+    if status != 0:
         raise RuntimeError("golden config failed to run")
     return {f"{p.parent.name}/{p.name}": hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(out.glob("*/*")) if p.name != "manifest.json"}

@@ -8,6 +8,7 @@ import scipy.sparse.linalg as spla
 
 from aplab import linalg
 from aplab.aligned_schemes import aligned_lagrange_matrix
+from aplab.analysis import cond_family_aligned
 from aplab.grid import make_grid2d
 from aplab.linalg import (
     MAX_REFINE,
@@ -301,6 +302,7 @@ def test_assemble_sums_duplicates():
     dense = M.toarray()
     assert dense[1, 1] == 5.0
     assert np.count_nonzero(dense) == 1
+    assert M.nnz == 1 and M.has_canonical_format
 
 
 def test_assemble_rejects_bad_input():
@@ -479,6 +481,23 @@ def test_cond2_scale_invariance():
 def test_cond2_zero_matrix_is_singular():
     with pytest.raises(SingularMatrixError, match="zero largest singular value"):
         cond2(sp.csr_matrix((4, 4)))
+
+
+def test_cond2_stops_at_a_non_finite_iterate(monkeypatch):
+    # at beta = 1e200 the scaled Lagrange matrix has a numerically zero
+    # smallest singular value (a dense SVD reads 0): the first inverse-iteration
+    # step overflows, and cond2 must stop there, not iterate on NaN
+    A = cond_family_aligned("lagrange", 7, 1e200)(1e-2)
+    calls = []
+
+    def counted(self, rhs, trans="N", real=SparseFactor.raw_solve):
+        calls.append(trans)
+        return real(self, rhs, trans)
+
+    monkeypatch.setattr(SparseFactor, "raw_solve", counted)
+    with pytest.raises(SingularMatrixError, match="zero smallest singular value"):
+        cond2(A)
+    assert 1 <= len(calls) <= 4
 
 
 @pytest.mark.parametrize("cap, method", [(2, "power iteration for sigma_max"),

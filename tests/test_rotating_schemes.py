@@ -6,6 +6,7 @@ import scipy.sparse as sp
 
 from aplab.grid import Field2D, make_grid2d, sample
 from aplab.linalg import SparseFactor, cond2
+from aplab.results import DIAGNOSTICS
 from aplab.rotating import RotatingModel, ic_gaussian
 from aplab.rotating_schemes import (
     ImpStepper,
@@ -395,7 +396,7 @@ def test_imp_decay_matches_largest_factor_off_the_kernel(n):
                                          (1e-4, "lagrange"), (0.0, "lagrange")])
 def test_mass_drift_hundred_steps(eps, scheme):
     r = run_rotating(make_cfg(scheme, eps, dt=0.1), 100)
-    masses = [rec.mass for rec in r.diagnostics]
+    masses = [row[DIAGNOSTICS.index("mass")] for row in r.diagnostics]
     drift = abs(masses[-1] - masses[0]) / max(1.0, abs(masses[0]))
     assert drift <= 1e-11
 
