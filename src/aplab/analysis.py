@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 from .aligned_schemes import (AlignedScheme, AlignedSchemeConfig,
@@ -151,26 +152,14 @@ def cond_sweep(matrix_family, eps_list) -> list:
     return out
 
 
-def helmert_basis(m: int) -> np.ndarray:
-    """Orthonormal basis (m x (m-1)) of the zero-sum subspace of R^m."""
-    if m < 2:
-        raise ValueError(f"zero-sum subspace needs m >= 2, got {m}")
-    Q = np.zeros((m, m - 1))
-    for k in range(1, m):
-        Q[:k, k - 1] = 1.0
-        Q[k, k - 1] = -float(k)
-        Q[:, k - 1] /= np.sqrt(k * (k + 1.0))
-    return Q
-
-
 def _imex_matrix(m: int, beta: float, eps: float) -> sp.csr_matrix:
     return CyclicTridiag(m, eps + beta, -beta).to_sparse()
 
 
 def _micro_macro_matrix(m: int, beta: float, eps: float) -> sp.csr_matrix:
-    # an orthonormal basis, so the singular values are those of the restriction
-    Q = helmert_basis(m)
-    return sp.csr_matrix(Q.T @ CyclicTridiag(m, eps + beta, -beta).to_dense() @ Q)
+    # Helmert's orthonormal zero-sum basis: the singular values are the restriction's
+    Q = scipy.linalg.helmert(m, full=False).T
+    return sp.csr_matrix(Q.T @ _imex_matrix(m, beta, eps).toarray() @ Q)
 
 
 def _imp_matrix(grid, dt: float, eps: float) -> sp.csr_matrix:

@@ -33,7 +33,8 @@ from .grid import make_grid2d
 from .linalg import ConvergenceError, SingularMatrixError
 from .results import DIAGNOSTICS
 from .rotating import RotatingModel, circle_average, ic_gaussian
-from .rotating_schemes import RotatingScheme, RotatingSchemeConfig, run_rotating, stabilization
+from .rotating_schemes import (RotatingScheme, RotatingSchemeConfig, run_rotating, stabilization,
+                               upwind_rotation_matrix)
 
 __all__ = ["EXPERIMENT_KINDS", "default_params", "run_experiment"]
 
@@ -382,18 +383,22 @@ def _aligned_config(p: dict, scheme: str, eps: float, keys: dict = _KEYS) -> Ali
                            _grid(p, int(p["nx"]), int(p["ny"])), _time_step(p), scheme, keys)
 
 
-def _stabilization(grid, gamma: float) -> None:
-    """s must be finite and > 0: U's rows sum to zero, so at s = 0, S 1 = 0."""
-    s = stabilization(grid, gamma)
-    _derived("gamma", "stabilization s = (dx dy)^gamma", s, 0.0 < s < math.inf)
+def _rotating_system(grid, scheme: str, dt: float, eps: float, gamma: float) -> None:
+    """s finite and > 0 for Lagrange (U's rows sum to zero: at s = 0, S 1 = 0); the
+    largest entry of Id + (dt/eps) U, (dt/eps) max_i U_ii, finite for IMP."""
+    if scheme == "lagrange":
+        s = stabilization(grid, gamma)
+        _derived("gamma", "stabilization s = (dx dy)^gamma", s, 0.0 < s < math.inf)
+    else:  # in Python floats, which overflow to inf without a warning
+        top = dt / eps * float(upwind_rotation_matrix(grid).diagonal().max())
+        _derived("eps_list", "IMP matrix entry (dt/eps) max_i U_ii", top, top < math.inf)
 
 
 def _rotating_config(p: dict, scheme: str, eps: float) -> RotatingSchemeConfig:
-    grid = _grid(p, int(p["nx"]), int(p["ny"]))
-    if scheme == "lagrange":
-        _stabilization(grid, p["gamma"])
+    grid, dt = _grid(p, int(p["nx"]), int(p["ny"])), _time_step(p)
+    _rotating_system(grid, scheme, dt, eps, p["gamma"])
     return RotatingSchemeConfig(RotatingModel(eps, INITIAL_CONDITIONS[p["ic"]]), grid,
-                                _time_step(p), gamma=p["gamma"], scheme=RotatingScheme(scheme))
+                                dt, gamma=p["gamma"], scheme=RotatingScheme(scheme))
 
 
 def _slope_row(label: str, steps, values, fit: bool = True) -> tuple:
@@ -594,7 +599,7 @@ def _jobs(kind: str, p: dict) -> list:
     alpha, scheme config, step count); for cond-sweep (scheme, eps list in sweep
     order, matrix family, None). Data only: runners call the stepping functions,
     and a family builds no matrix until it is called. Building a config checks
-    the values it derives (``_aligned_scheme``, ``_stabilization``)."""
+    the values it derives (``_aligned_scheme``, ``_rotating_system``)."""
     if kind == "convergence":
         return [(s, n, *_convergence_config(p, s, n)) for s in p["schemes"] for n in p["n_list"]]
     if kind == "stability-scan":
@@ -608,7 +613,8 @@ def _jobs(kind: str, p: dict) -> list:
             return [(s, eps_list, cond_family_aligned(s, int(p["ny"]) - 1, p["beta"]), None)
                     for s in ("imex", "micro-macro", "lagrange")]
         grid = _grid(_ROTATING_BASE, int(p["rot_n"]), int(p["rot_n"]))
-        _stabilization(grid, p["gamma"])
+        for s in ("lagrange", "imp"):  # IMP's largest entry is at the smallest eps
+            _rotating_system(grid, s, p["rot_dt"], eps_list[-1], p["gamma"])
         return [(s, eps_list, cond_family_rotating(s, grid, p["rot_dt"], p["gamma"]), None)
                 for s in ("imp", "lagrange")]
     config = _rotating_config if kind == "rotating-run" else _aligned_config

@@ -106,11 +106,7 @@ class Field2D:
 
     def full_values(self) -> np.ndarray:
         """Values on all ``nx x ny`` nodes, alias row/column materialized."""
-        out = np.empty((self.grid.nx, self.grid.ny))
-        out[:-1, :-1] = self.values
-        out[-1, :-1] = self.values[0, :]
-        out[:, -1] = out[:, 0]
-        return out
+        return np.pad(self.values, ((0, 1), (0, 1)), mode="wrap")
 
     def with_values(self, values: np.ndarray) -> "Field2D":
         """New field on the same grid."""

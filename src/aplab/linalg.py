@@ -151,10 +151,9 @@ class CyclicTridiag:
 
     def to_sparse(self) -> sp.csr_matrix:
         # at n = 1 the corner entry falls on the diagonal and is summed into it
-        j = np.arange(self.n)
-        return assemble(self.n, self.n, np.concatenate([j, j[1:], [0]]),
-                        np.concatenate([j, j[:-1], [self.n - 1]]),
-                        np.concatenate([np.full(self.n, self.d), np.full(self.n, self.s)]))
+        n = self.n
+        return (self.d * sp.eye(n, format="csr")
+                + self.s * (sp.eye(n, k=-1, format="csr") + sp.eye(n, k=n - 1, format="csr")))
 
     def check_pivots(self) -> None:
         """Raise SingularMatrixError when a pivot of the elimination along the
@@ -163,8 +162,6 @@ class CyclicTridiag:
         d, s = self.d, self.s
         if abs(d) < PIVOT_BREAKDOWN:
             raise SingularMatrixError(f"singular matrix: diagonal pivot {float(d)}")
-        if self.n == 1 and abs(d + s) < PIVOT_BREAKDOWN:
-            raise SingularMatrixError("singular matrix: 1x1 cyclic system")
         closure = d + s * np.float64(-s / d) ** (self.n - 1)
         if not np.isfinite(closure) or abs(closure) < PIVOT_BREAKDOWN:
             raise SingularMatrixError(

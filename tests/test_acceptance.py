@@ -23,6 +23,10 @@ from aplab.rotating import RotatingModel, ic_gaussian
 from aplab.rotating_schemes import (RotatingScheme, RotatingSchemeConfig,
                                     run_rotating)
 
+# a criterion that passes while numpy warns of overflow or an invalid
+# operation has passed on inf or NaN arithmetic somewhere
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 GRID64 = make_grid2d(0.0, 2.0 * np.pi, 0.0, 2.0 * np.pi, 64, 64)
 
 # reference-run value frozen at build-qualification time, 20% headroom

@@ -14,7 +14,6 @@ from aplab.analysis import (
     error_eta,
     error_gamma,
     fit_loglog_slope,
-    helmert_basis,
     xi_imex,
 )
 from aplab.grid import Field2D, make_grid2d, sample
@@ -221,11 +220,19 @@ def test_cond_sweep_continues_past_singular_entries():
     assert np.isfinite(out[2][1])
 
 
-def test_helmert_basis():
-    Q = helmert_basis(8)
-    assert Q.shape == (8, 7)
-    assert np.max(np.abs(Q.T @ Q - np.eye(7))) <= 1e-14
-    assert np.max(np.abs(Q.T @ np.ones(8))) <= 1e-14
+@pytest.mark.parametrize("m", [2, 8, 63])
+@pytest.mark.parametrize("beta", [0.5, 2.0])
+def test_micro_macro_family_has_the_zero_mean_spectrum(m, beta):
+    # the cyclic matrix is a normal circulant and the zero-mean subspace is
+    # invariant, so restricting it to an orthonormal zero-sum basis keeps the
+    # singular values |eps + beta - beta e^{-2 pi i k/m}| of modes k = 1 .. m-1
+    k = np.arange(1, m)
+    for eps in (1.0, 1e-3, 0.0):
+        A = cond_family_aligned("micro-macro", m, beta)(eps).toarray()
+        assert A.shape == (m - 1, m - 1)
+        sv = np.sort(np.linalg.svd(A, compute_uv=False))
+        exact = np.sort(np.abs(eps + beta - beta * np.exp(-2j * np.pi * k / m)))
+        assert np.max(np.abs(sv - exact) / exact) <= 1e-13, (m, beta, eps)
 
 
 def test_cond_family_aligned_imex_matches_cyclic():

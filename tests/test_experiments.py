@@ -206,9 +206,15 @@ def test_scheme_errors_are_config_errors(tmp_path, capsys, entry):
     ({"kind": "cond-sweep", "toy": 2, "rot_n": 8, "gamma": -3000}, "gamma"),
     ({"kind": "rotating-run", "nx": 8, "ny": 8, "nt": 3, "gamma": 3000,
       "schemes": ["lagrange"], "eps_list": [1e-3]}, "gamma"),
+    # the largest entry (dt/eps) max|U| of the fully implicit matrix overflows:
+    # a NaN condition number (exit 0), or an exactly singular factor (exit 2)
+    ({"kind": "cond-sweep", "toy": 2, "rot_n": 3, "rot_dt": 2.0,
+      "eps_list": [1.0, 2.0, 2.2250738585072014e-308]}, "eps_list"),
+    ({"kind": "rotating-run", "nx": 12, "ny": 12, "nt": 3, "eps_list": [5e-324]}, "eps_list"),
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_derived_underflow_is_a_config_error(tmp_path, capsys, entry, key):
-    # each passed validation and exited 2 at its first step
+    # each passed validation and exited 2 at its first step, or wrote NaN
     assert run_experiment(write_config(tmp_path, entry), str(tmp_path / "out")) == 1
     assert f"config error: key '{key}': " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -304,6 +310,8 @@ DERIVED_UNDERFLOWS = {
     ("eps-sweep", "eps_list", "[5e-324]"): _SINGULAR,
     ("aligned-run", "eps_list", "[5e-324]"): _SINGULAR,
     ("amplification-check", "eps_list", "[5e-324]"): _SINGULAR,
+    # dt / eps overflows: the fully implicit matrix has an infinite entry
+    ("rotating-run", "eps_list", "[5e-324]"): "IMP matrix entry .* is inf",
 }
 
 

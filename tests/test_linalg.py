@@ -33,8 +33,9 @@ def test_solve_cyclic_identity():
 def test_solve_cyclic_singular_at_eps_zero():
     # d = eps + beta, s = -beta with eps = 0: row sums vanish, constant
     # vector sits in the kernel; plus the 1x1 and zero-diagonal breakdowns
+    # (at n = 1 the closure pivot d + s (-s/d)^0 is the entry d + s itself)
     for n, d, s, message in [(16, 1.0, -1.0, "cyclic closure pivot"),
-                             (1, 1.0, -1.0, "1x1 cyclic system"),
+                             (1, 1.0, -1.0, "cyclic closure pivot"),
                              (4, 0.0, 1.0, "diagonal pivot")]:
         M = CyclicTridiag(n, d, s)
         for _ in range(2):  # the breakdown is raised again, not cached away
