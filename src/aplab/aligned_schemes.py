@@ -13,10 +13,11 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+import scipy.sparse as sp
 
 from .aligned import AlignedModel, _row_means, y_average
 from .grid import Field2D, Grid2D
-from .linalg import CyclicTridiag, SolveStats, SparseFactor, _max_abs, assemble, solve_cyclic
+from .linalg import CyclicTridiag, SolveStats, SparseFactor, _max_abs, solve_cyclic
 from .results import RunResult, run_steps
 
 __all__ = [
@@ -215,8 +216,8 @@ def aligned_lagrange_matrix(m: int, beta: float, eps: float):
     rows.append(np.array([2 * m - 1]))
     cols.append(np.array([m]))
     vals.append(np.array([1.0]))
-    return assemble(2 * m, 2 * m,
-                    np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
+    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(2 * m, 2 * m))
 
 
 class LagrangeAlignedStepper:

@@ -162,14 +162,6 @@ def _micro_macro_matrix(m: int, beta: float, eps: float) -> sp.csr_matrix:
     return sp.csr_matrix(Q.T @ _imex_matrix(m, beta, eps).toarray() @ Q)
 
 
-def _imp_matrix(grid, dt: float, eps: float) -> sp.csr_matrix:
-    return assemble_imp(grid, eps, dt)
-
-
-def _lagrange_rot_matrix(grid, dt: float, gamma: float, eps: float) -> sp.csr_matrix:
-    return assemble_lagrange_rot(grid, eps, dt, gamma)
-
-
 def cond_family_aligned(scheme, m: int, beta: float):
     """Per-column system family eps -> CSR matrix for an aligned scheme.
 
@@ -190,5 +182,5 @@ def cond_family_rotating(scheme, grid, dt: float, gamma: float = 0.91):
     """System matrix family eps -> CSR matrix for a rotation scheme, a
     ``functools.partial`` like those of ``cond_family_aligned``."""
     if RotatingScheme(scheme) is RotatingScheme.IMP:
-        return functools.partial(_imp_matrix, grid, dt)
-    return functools.partial(_lagrange_rot_matrix, grid, dt, gamma)
+        return functools.partial(assemble_imp, grid, dt=dt)
+    return functools.partial(assemble_lagrange_rot, grid, dt=dt, gamma=gamma)

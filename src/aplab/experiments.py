@@ -33,8 +33,7 @@ from .grid import make_grid2d
 from .linalg import ConvergenceError, SingularMatrixError
 from .results import DIAGNOSTICS
 from .rotating import RotatingModel, circle_average, ic_gaussian
-from .rotating_schemes import (RotatingScheme, RotatingSchemeConfig, run_rotating, stabilization,
-                               upwind_rotation_matrix)
+from .rotating_schemes import RotatingScheme, RotatingSchemeConfig, run_rotating, stabilization
 
 __all__ = ["EXPERIMENT_KINDS", "default_params", "run_experiment"]
 
@@ -160,6 +159,10 @@ _RULES = {
     "eps": _POSITIVE, "vary": ("dx", "dy", "dt"), "toy": (1, 2),
 }
 
+# the keys that each toy of cond-sweep (the one kind with a toy) does not read,
+# refused when an entry sets them
+_UNREAD_BY_TOY = {1: ("rot_n", "rot_dt", "gamma"), 2: ("ny", "beta")}
+
 _TYPES = {int: ("a number", (int, float)), float: ("a number", (int, float)),
           str: ("a string", str), list: ("a list", list)}
 
@@ -182,6 +185,9 @@ class ExperimentConfig:
         self.params = merged
         self.name = name or kind
         self._check()
+        for key in _UNREAD_BY_TOY.get(merged.get("toy"), ()):
+            if key in params:
+                raise ValueError(f"key '{key}': cond-sweep toy {merged['toy']} does not read it")
 
     def _check(self) -> None:
         p = self.params
@@ -384,21 +390,30 @@ def _aligned_config(p: dict, scheme: str, eps: float, keys: dict = _KEYS) -> Ali
 
 
 def _rotating_system(grid, scheme: str, dt: float, eps: float, gamma: float) -> None:
-    """s finite and > 0 for Lagrange (U's rows sum to zero: at s = 0, S 1 = 0); the
-    largest entry of Id + (dt/eps) U, (dt/eps) max_i U_ii, finite for IMP."""
+    """Checks in Python floats, which overflow without a warning, before U is built:
+    U's largest entry max|y|/dx + max|x|/dy (bit-equal to U's: rounding is monotone)
+    and, for IMP, (dt/eps) times it finite; for Lagrange s finite and > 0 (S 1 = s 1)."""
+    top = (float(np.abs(grid.y_nodes()).max()) / grid.dx
+           + float(np.abs(grid.x_nodes()).max()) / grid.dy)
+    if not top < math.inf:
+        raise ValueError("keys 'x_min', 'x_max', 'y_min', 'y_max': the derived largest entry "
+                         f"max|y|/dx + max|x|/dy of U is {top!r}, out of range")
     if scheme == "lagrange":
         s = stabilization(grid, gamma)
         _derived("gamma", "stabilization s = (dx dy)^gamma", s, 0.0 < s < math.inf)
-    else:  # in Python floats, which overflow to inf without a warning
-        top = dt / eps * float(upwind_rotation_matrix(grid).diagonal().max())
-        _derived("eps_list", "IMP matrix entry (dt/eps) max_i U_ii", top, top < math.inf)
+    else:
+        entry = dt / eps * top
+        _derived("eps_list", "IMP matrix entry (dt/eps) max_i U_ii", entry, entry < math.inf)
 
 
 def _rotating_config(p: dict, scheme: str, eps: float) -> RotatingSchemeConfig:
     grid, dt = _grid(p, int(p["nx"]), int(p["ny"])), _time_step(p)
     _rotating_system(grid, scheme, dt, eps, p["gamma"])
-    return RotatingSchemeConfig(RotatingModel(eps, INITIAL_CONDITIONS[p["ic"]]), grid,
-                                dt, gamma=p["gamma"], scheme=RotatingScheme(scheme))
+    model = RotatingModel(eps, INITIAL_CONDITIONS[p["ic"]])
+    try:
+        return RotatingSchemeConfig(model, grid, dt, p["gamma"], RotatingScheme(scheme))
+    except ValueError as exc:  # the ratios dt/dx, dt/dy overflow
+        raise ValueError(f"key 't_end': {exc}") from None
 
 
 def _slope_row(label: str, steps, values, fit: bool = True) -> tuple:

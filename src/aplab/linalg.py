@@ -4,8 +4,8 @@ Every implicit scheme routes through one sparse LU, ``SparseFactor``: the
 per-column cyclic systems of the first toy model through ``solve_cyclic``,
 which factors each ``CyclicTridiag`` once (systems of at most ``DENSE_MAX_N``
 unknowns through their explicit inverse instead) and refines with a
-compensated residual; the global systems of the second through ``assemble``
-as plain scipy CSR matrices. The condition-number studies go through ``cond2``.
+compensated residual; the global systems of the second as scipy CSR matrices,
+built where they are defined. The condition-number studies go through ``cond2``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import scipy.sparse.linalg as spla
 __all__ = [
     "SingularMatrixError", "ConvergenceError",
     "CyclicTridiag", "SolveStats", "SparseFactor",
-    "solve_cyclic", "assemble", "cond2",
+    "solve_cyclic", "cond2",
 ]
 
 PIVOT_BREAKDOWN = 1e-30
@@ -333,24 +333,6 @@ def solve_cyclic(M: CyclicTridiag, rhs: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # general sparse systems
-
-
-def assemble(n_rows: int, n_cols: int, rows, cols, vals) -> sp.csr_matrix:
-    """Build a CSR matrix from coordinate arrays, 0-based indices.
-
-    Duplicate coordinates are summed. Raises IndexError for out-of-range
-    indices and ValueError for non-finite values.
-    """
-    rows = np.asarray(rows, dtype=np.int64).ravel()
-    cols = np.asarray(cols, dtype=np.int64).ravel()
-    vals = np.asarray(vals, dtype=float).ravel()
-    if rows.size:
-        if rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_cols:
-            raise IndexError(f"triplet index out of range for {n_rows} x {n_cols}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("non-finite triplet value")
-    coo = sp.coo_matrix((vals, (rows, cols)), shape=(n_rows, n_cols))
-    return coo.tocsr()  # sums duplicates, in canonical form
 
 
 def _norm1_and_dominance(A: sp.csr_matrix) -> tuple[float, bool]:

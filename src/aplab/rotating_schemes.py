@@ -21,7 +21,7 @@ import scipy.sparse.linalg as spla
 
 from .aligned_schemes import _plain
 from .grid import Field2D, Grid2D
-from .linalg import SolveStats, SparseFactor, assemble
+from .linalg import SolveStats, SparseFactor
 from .results import RunResult, run_steps
 from .rotating import RotatingModel
 
@@ -95,7 +95,7 @@ def upwind_rotation_matrix(grid: Grid2D) -> sp.csr_matrix:
         I * ny1 + (J - 1) % ny1,
     ])
     vals = np.concatenate([(yp - ym) + (xp - xm), -yp, ym, -xp, xm])
-    return assemble(nx1 * ny1, nx1 * ny1, rows, cols, vals)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(nx1 * ny1, nx1 * ny1))
 
 
 def stabilization(grid: Grid2D, gamma: float) -> float:

@@ -10,14 +10,14 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from aplab.aligned import AlignedModel, exact_aligned, ic_two_mode, limit_aligned
 from aplab.aligned_schemes import AlignedScheme, AlignedSchemeConfig, run_aligned
 from aplab.analysis import amplification_factors, error_eta, error_gamma, xi_imex
 from aplab.experiments import run_experiment
 from aplab.grid import make_grid2d
-from aplab.linalg import (CyclicTridiag, SingularMatrixError, SparseFactor,
-                          assemble, cond2, solve_cyclic)
+from aplab.linalg import CyclicTridiag, SingularMatrixError, SparseFactor, cond2, solve_cyclic
 from aplab.results import DIAGNOSTICS
 from aplab.rotating import RotatingModel, ic_gaussian
 from aplab.rotating_schemes import (RotatingScheme, RotatingSchemeConfig,
@@ -269,7 +269,7 @@ def test_criterion_10_solver_oracles(verdict):
         dense = 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
         dense[np.diag_indices(n)] += rng.uniform(2.0, 4.0, n)
         rows, cols = np.nonzero(dense)
-        M = assemble(n, n, rows, cols, dense[rows, cols])
+        M = sp.csr_matrix((dense[rows, cols], (rows, cols)), shape=(n, n))
         rhs = rng.standard_normal(n)
         x, _ = SparseFactor(M).solve(rhs)
         xd = np.linalg.solve(dense, rhs)
@@ -281,7 +281,7 @@ def test_criterion_10_solver_oracles(verdict):
             dense = rng.standard_normal((n, n)) / np.sqrt(n)
             dense[np.diag_indices(n)] += rng.uniform(2.0, 4.0, n)
             rows, cols = np.nonzero(dense)
-            M = assemble(n, n, rows, cols, dense[rows, cols])
+            M = sp.csr_matrix((dense[rows, cols], (rows, cols)), shape=(n, n))
             worst_cond = max(worst_cond, abs(cond2(M) - np.linalg.cond(dense, 2))
                              / np.linalg.cond(dense, 2))
     ok = worst_cyc <= 1e-11 and worst_sp <= 1e-11 and worst_cond <= 0.02

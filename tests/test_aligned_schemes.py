@@ -248,6 +248,17 @@ def test_lagrange_constants_fixed():
     assert np.max(np.abs(f1.values - 3.0)) <= 1e-12
 
 
+@pytest.mark.parametrize("m", [2, 3, 8, 200])
+@pytest.mark.parametrize("eps", [1.0, 1e-3, 0.0])
+def test_lagrange_matrix_stores_every_entry(m, eps):
+    # 3 entries in each evolution row, 4 in each of the m - 1 constraint rows
+    # and the pin: at eps = 0 the constraint rows' multiplier entries are
+    # stored as explicit zeros
+    A = aligned_lagrange_matrix(m, 0.3, eps)
+    assert A.shape == (2 * m, 2 * m)
+    assert A.nnz == 7 * m - 3 and A.has_canonical_format
+
+
 def test_lagrange_multiplier_vanishes_on_constants():
     # the stepper keeps only the field half of the column solve
     m = 32

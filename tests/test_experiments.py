@@ -1,6 +1,7 @@
 """Experiment runner: configs, CSV outputs, manifests, CLI, determinism."""
 
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -211,12 +212,27 @@ def test_scheme_errors_are_config_errors(tmp_path, capsys, entry):
     ({"kind": "cond-sweep", "toy": 2, "rot_n": 3, "rot_dt": 2.0,
       "eps_list": [1.0, 2.0, 2.2250738585072014e-308]}, "eps_list"),
     ({"kind": "rotating-run", "nx": 12, "ny": 12, "nt": 3, "eps_list": [5e-324]}, "eps_list"),
+    # the ratios dt/dx, dt/dy of the rotating scheme config overflow
+    ({"kind": "rotating-run", "nt": 3, "t_end": 1e308, "schemes": ["lagrange"]}, "t_end"),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_derived_underflow_is_a_config_error(tmp_path, capsys, entry, key):
     # each passed validation and exited 2 at its first step, or wrote NaN
     assert run_experiment(write_config(tmp_path, entry), str(tmp_path / "out")) == 1
     assert f"config error: key '{key}': " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scheme", ["imp", "lagrange"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_rotation_operator_overflow_is_a_config_error(tmp_path, capsys, scheme):
+    # max|y|/dx overflows, so U would hold an infinite entry: imp exited 1 with
+    # a message that named no key, lagrange passed validation and exited 2
+    entry = {"kind": "rotating-run", "x_min": -1e-300, "x_max": 1e-300, "y_min": -1e300,
+             "y_max": 1e300, "nx": 8, "ny": 8, "nt": 3, "schemes": [scheme]}
+    assert run_experiment(write_config(tmp_path, entry), str(tmp_path / "out")) == 1
+    assert ("config error: keys 'x_min', 'x_max', 'y_min', 'y_max': the derived largest entry"
+            in capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
 
@@ -246,8 +262,9 @@ def _boundaries():
     for kind in EXPERIMENT_KINDS:
         d = default_params(kind)
         for key in d:
-            # modes must satisfy 2|k| < n
+            # modes must satisfy 2|k| < n; only toy 2 of cond-sweep reads rot_n and rot_dt
             others = {"modes": [0]} if key == "n" and "modes" in d else {}
+            others = {"toy": 2} if key in ("rot_n", "rot_dt") else others
             if key in ("nx", "ny", "nt", "n", "rot_n"):
                 rows.append((kind, key, 2, 3, others))
             elif key in ("t_end", "dt", "rot_dt", "beta", "b", "alpha", "eps"):
@@ -334,6 +351,59 @@ def test_every_config_key_has_a_rule():
         assert set(default_params(kind)) - set(experiments._RULES) <= {"schemes"}, kind
 
 
+def _perturbed(kind: str, key: str, value):
+    """Another admissible value of a key: the next choice of a fixed set, other
+    schemes, a number or the first entry of a list moved up, the next y-node."""
+    rule = experiments._RULES.get(key)
+    if key == "schemes":
+        names = [s.value for s in (RotatingScheme if kind == "rotating-run" else AlignedScheme)]
+        return [s for s in names if s not in value][:1] or value[1:]
+    if key == "point":
+        return [value[0], value[1] + 1]
+    if isinstance(rule, tuple):
+        return rule[(rule.index(value) + 1) % len(rule)]
+    if isinstance(value, list):
+        return [_perturbed(kind, key, value[0])] + value[1:]
+    return value + 1 if rule.integer else value + 0.5
+
+
+def _job_table(cfg) -> list:
+    """``cfg.jobs`` with each cond-sweep family as its function and arguments:
+    a ``functools.partial`` compares by identity."""
+    return [tuple((j.func, j.args, j.keywords) if isinstance(j, functools.partial) else j
+                  for j in job) for job in cfg.jobs]
+
+
+def _written(kind: str, params: dict, out: Path) -> dict:
+    experiments._execute_one(ExperimentConfig(kind, params, "run"), out)
+    return {p.name: p.read_bytes() for p in (out / "run").iterdir() if p.name != "manifest.json"}
+
+
+# every key is perturbed over each kind's defaults and over toy 2 of cond-sweep,
+# except point and modes: only the runner reads them, so their bytes are compared
+BY_RUNNER = {"point": ("point-trace", {"ny": 9, "nt": 5}),
+             "modes": ("amplification-check", {"n": 9, "modes": [0, 1, 3]})}
+PERTURBED = ([(kind, {}, key) for kind in EXPERIMENT_KINDS for key in default_params(kind)
+              if key not in BY_RUNNER]
+             + [("cond-sweep", {"toy": 2}, key) for key in default_params("cond-sweep")]
+             + [(kind, base, key) for key, (kind, base) in BY_RUNNER.items()])
+
+
+@pytest.mark.parametrize("kind,base,key", PERTURBED)
+def test_every_key_acts_or_is_refused(tmp_path, kind, base, key):
+    # a key whose value changes neither the jobs nor the output does nothing
+    params = {**base, key: _perturbed(kind, key, {**default_params(kind), **base}[key])}
+    try:
+        cfg = ExperimentConfig(kind, params)
+    except ValueError as exc:
+        assert str(exc).startswith(f"key '{key}': "), exc
+        return
+    if key in BY_RUNNER:
+        assert _written(kind, params, tmp_path / "b") != _written(kind, base, tmp_path / "a")
+    else:
+        assert _job_table(cfg) != _job_table(ExperimentConfig(kind, base))
+
+
 def test_readme_lists_every_config_key_of_every_kind():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Config keys\n", 1)[1].split("\n## ", 1)[0]
@@ -391,7 +461,14 @@ def test_config_fuzz_runs_end_to_end(data):
     # convergence takes its step counts from its sweep setups, not the config
     kind = data.draw(st.sampled_from([k for k in EXPERIMENT_KINDS if k != "convergence"]))
     entry = {"kind": kind, "name": "fuzz"}
+    # cond-sweep refuses the keys of the toy it does not run: the toy comes first
+    unread = ()
+    if kind == "cond-sweep":
+        entry["toy"] = data.draw(rule_values("toy"))
+        unread = experiments._UNREAD_BY_TOY[entry["toy"]]
     for key, default in default_params(kind).items():
+        if key in entry or key in unread:
+            continue
         if key == "schemes":
             names = [s.value for s in
                      (RotatingScheme if kind == "rotating-run" else AlignedScheme)]

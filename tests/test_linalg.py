@@ -17,7 +17,6 @@ from aplab.linalg import (
     CyclicTridiag,
     SingularMatrixError,
     SparseFactor,
-    assemble,
     cond2,
     solve_cyclic,
 )
@@ -292,29 +291,6 @@ def test_solve_cyclic_reused_buffers_match_fresh_ones(n, shape, eps):
     assert np.array_equal(x1, kept)
 
 
-def test_assemble_empty():
-    M = assemble(3, 3, [], [], [])
-    assert np.array_equal(M.toarray(), np.zeros((3, 3)))
-    assert np.array_equal(M @ np.ones(3), np.zeros(3))
-
-
-def test_assemble_sums_duplicates():
-    M = assemble(3, 3, [1, 1], [1, 1], [2.0, 3.0])
-    dense = M.toarray()
-    assert dense[1, 1] == 5.0
-    assert np.count_nonzero(dense) == 1
-    assert M.nnz == 1 and M.has_canonical_format
-
-
-def test_assemble_rejects_bad_input():
-    with pytest.raises(IndexError):
-        assemble(2, 2, [2], [0], [1.0])
-    with pytest.raises(IndexError):
-        assemble(2, 2, [0], [-1], [1.0])
-    with pytest.raises(ValueError):
-        assemble(2, 2, [0], [0], [np.nan])
-
-
 @pytest.mark.parametrize("n", [1, 2, 7])
 def test_cyclic_to_sparse_matches_dense(n):
     M = CyclicTridiag(n, 1.5, -0.25)
@@ -338,7 +314,7 @@ def test_cyclic_matvec_and_solve(n):
 
 
 def test_sparse_factor_identity():
-    M = assemble(4, 4, np.arange(4), np.arange(4), np.ones(4))
+    M = sp.csr_matrix((np.ones(4), (np.arange(4), np.arange(4))), shape=(4, 4))
     e1 = np.array([1.0, 0.0, 0.0, 0.0])
     x, stats = SparseFactor(M).solve(e1)
     assert np.allclose(x, e1, rtol=0, atol=1e-14)
@@ -351,7 +327,7 @@ def test_sparse_factor_against_dense_oracle():
     dense = rng.standard_normal((n, n))
     dense += n * np.eye(n)
     rows, cols = np.indices((n, n))
-    M = assemble(n, n, rows, cols, dense)
+    M = sp.csr_matrix((dense.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n))
     rhs = rng.standard_normal(n)
     x, stats = SparseFactor(M).solve(rhs)
     x_ref = np.linalg.solve(dense, rhs)
@@ -361,7 +337,7 @@ def test_sparse_factor_against_dense_oracle():
 
 def test_sparse_factor_singular():
     # second row entirely zero
-    M = assemble(2, 2, [0], [0], [1.0])
+    M = sp.csr_matrix(([1.0], ([0], [0])), shape=(2, 2))
     with pytest.raises(SingularMatrixError):
         SparseFactor(M).solve(np.ones(2))
 
@@ -393,8 +369,8 @@ def test_sparse_factor_reuse():
     rng = np.random.default_rng(5)
     n = 8
     i = np.arange(n)
-    M = assemble(n, n, np.r_[i, i], np.r_[i, (i + 1) % n],
-                 np.r_[np.full(n, 2.0), np.full(n, 0.5)])
+    M = sp.csr_matrix((np.r_[np.full(n, 2.0), np.full(n, 0.5)],
+                       (np.r_[i, i], np.r_[i, (i + 1) % n])), shape=(n, n))
     factor = SparseFactor(M)
     for _ in range(3):
         rhs = rng.standard_normal(n)
@@ -443,12 +419,12 @@ def test_symmetric_ordering_stores_less_than_colamd():
 
 
 def test_cond2_identity():
-    M = assemble(5, 5, np.arange(5), np.arange(5), np.ones(5))
+    M = sp.csr_matrix((np.ones(5), (np.arange(5), np.arange(5))), shape=(5, 5))
     assert cond2(M) == pytest.approx(1.0, rel=1e-6)
 
 
 def test_cond2_diagonal():
-    M = assemble(2, 2, [0, 1], [0, 1], [10.0, 1.0])
+    M = sp.csr_matrix(([10.0, 1.0], ([0, 1], [0, 1])), shape=(2, 2))
     assert cond2(M) == pytest.approx(10.0, rel=1e-6)
 
 
@@ -515,4 +491,4 @@ def test_cond2_reports_an_unsettled_iteration(monkeypatch, cap, method):
 
 def test_cond2_rejects_rectangular():
     with pytest.raises(ValueError):
-        cond2(assemble(2, 3, [0], [0], [1.0]))
+        cond2(sp.csr_matrix(([1.0], ([0], [0])), shape=(2, 3)))

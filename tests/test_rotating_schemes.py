@@ -1,13 +1,16 @@
 """Schemes for the rotation model: upwind operator, IMP, multiplier system."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from aplab.experiments import run_experiment
 from aplab.grid import Field2D, make_grid2d, sample
 from aplab.linalg import SparseFactor, cond2
 from aplab.results import DIAGNOSTICS
-from aplab.rotating import RotatingModel, ic_gaussian
+from aplab.rotating import RotatingModel, circle_average, ic_gaussian
 from aplab.rotating_schemes import (
     ImpStepper,
     LagrangeRotatingStepper,
@@ -95,10 +98,19 @@ def test_upwind_matrix_structure():
     U = upwind_rotation_matrix(g)
     m = (g.nx - 1) * (g.ny - 1)
     assert U.shape == (m, m)
-    assert U.nnz <= 5 * m
+    assert U.nnz == 5 * m  # explicit zeros included: one of each upwind pair is 0
     col_sums = np.asarray(np.abs(U.sum(axis=0))).ravel()
     assert np.max(col_sums) <= 1e-13
     assert upwind_rotation_matrix(g) is upwind_rotation_matrix(g)
+
+
+@pytest.mark.parametrize("n, nnz", [(3, 12), (4, 45), (12, 605), (160, 126405)])
+def test_upwind_matrix_keeps_its_explicit_zeros(n, nnz):
+    # 5 stored entries per unknown from 4 nodes a side on, explicit zeros
+    # included; on 3^2 the two x- and the two y-neighbours coincide and are
+    # summed, which leaves 3 per unknown
+    U = upwind_rotation_matrix(make_grid2d(-3, 3, -3, 3, n, n))
+    assert U.nnz == nnz and U.has_canonical_format
 
 
 def test_assemble_imp_large_eps_is_identity():
@@ -390,6 +402,57 @@ def test_imp_decay_matches_largest_factor_off_the_kernel(n):
             if norms[-1] < 1e-11 * norms[1]:
                 break
         assert norms[-1] / norms[-2] == pytest.approx(decay, rel=1e-5), eps
+
+
+@pytest.mark.parametrize("n, scheme, eps, gamma", [
+    (21, "imp", 1.0, 0.91), (21, "imp", 1e-2, 0.91), (21, "imp", 1e-4, 0.91),
+    (21, "lagrange", 1.0, 0.91), (21, "lagrange", 1.0, 1.2), (21, "lagrange", 1e-2, 0.91),
+    (21, "lagrange", 1e-4, 0.91), (21, "lagrange", 0.0, 0.91), (41, "imp", 1e-4, 0.91)])
+def test_rotating_run_is_the_dense_step_matrix_power(tmp_path, grid21_upwind_eigenvalues, n,
+                                                     scheme, eps, gamma):
+    # Each scheme steps with one fixed matrix G, so a rotating-run ends at
+    # G^N f0: IMP's G = (Id + (dt/eps) U)^-1, whose spectral radius is at most
+    # 1 (U's eigenvalues have Re >= 0 by column Gershgorin), and Lagrange's
+    # G = Id - dt U S^-1 U with S = dt U^2 + eps U + s Id, whose rho(G) is
+    # 1.54 to 1.62 below eps = 1 here. The run's rows may differ from G^N f0
+    # by the rounding of N solves of condition kappa_1 = |A|_1 |A^-1|_1 of the
+    # system solved, grown by rho(G)^N.
+    grid, dt, N = make_grid2d(-3, 3, -3, 3, n, n), 1.0 / (n - 1), n - 1
+    U = upwind_rotation_matrix(grid).toarray()
+    Id = np.eye(U.shape[0])
+    if scheme == "imp":
+        A = Id + (dt / eps) * U
+        G = A_inv = np.linalg.inv(A)
+        rho = 1.0
+    else:
+        s = (grid.dx * grid.dy) ** gamma
+        A = dt * U @ U + eps * U + s * Id
+        A_inv = np.linalg.inv(A)
+        G = Id - dt * U @ A_inv @ U
+        mu = grid21_upwind_eigenvalues  # every Lagrange case runs on 21^2
+        rho = float(np.max(np.abs((eps * mu + s) / (dt * mu ** 2 + eps * mu + s))))
+    f0 = sample(grid, ic_gaussian).values
+    f = f0.ravel()
+    for _ in range(N):
+        f = G @ f
+    f = f.reshape(f0.shape)
+    kappa = np.linalg.norm(A, 1) * np.linalg.norm(A_inv, 1)
+    bound = 10.0 * N * kappa * np.finfo(float).eps * np.max(np.abs(f0)) * max(1.0, rho) ** N
+
+    entry = {"kind": "rotating-run", "name": "run", "nx": n, "ny": n, "nt": n, "gamma": gamma,
+             "schemes": [scheme], "eps_list": [eps]}
+    (tmp_path / "run.json").write_text(json.dumps(entry), encoding="utf-8")
+    assert run_experiment(str(tmp_path / "run.json"), str(tmp_path)) == 0
+    out = tmp_path / "run"
+    _, _, t, peak, circle_avg = (out / "summary.csv").read_text().splitlines()[1].split(",")
+    field = np.loadtxt(next(out.glob("field_*_snap1.csv")), delimiter=",", skiprows=1)
+    cut = np.loadtxt(next(out.glob("cut_*.csv")), delimiter=",", skiprows=1)
+    assert float(t) == N * dt
+    gaps = {"peak": abs(float(peak) - f.max()),
+            "circle_avg": abs(float(circle_avg) - circle_average(Field2D(grid, f), 1.0)),
+            "cut": np.max(np.abs(cut[:, 1] - f[np.argmin(np.abs(grid.x_nodes()))])),
+            "field": np.max(np.abs(field[:, 2] - np.pad(f, ((0, 1), (0, 1)), mode="wrap").ravel()))}
+    assert max(gaps.values()) <= bound, (gaps, bound)
 
 
 @pytest.mark.parametrize("eps, scheme", [(1.0, "imp"), (1.0, "lagrange"), (1e-4, "imp"),
