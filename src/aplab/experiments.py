@@ -389,12 +389,18 @@ def _aligned_config(p: dict, scheme: str, eps: float, keys: dict = _KEYS) -> Ali
                            _grid(p, int(p["nx"]), int(p["ny"])), _time_step(p), scheme, keys)
 
 
-def _rotating_system(grid, scheme: str, dt: float, eps: float, gamma: float) -> None:
+def _rotating_system(grid, scheme: str, dt: float, dt_key: str, eps: float,
+                     gamma: float) -> None:
     """Checks in Python floats, which overflow without a warning, before U is built:
     U's largest entry max|y|/dx + max|x|/dy (bit-equal to U's: rounding is monotone)
-    and, for IMP, (dt/eps) times it finite; for Lagrange s finite and > 0 (S 1 = s 1)."""
-    top = (float(np.abs(grid.y_nodes()).max()) / grid.dx
-           + float(np.abs(grid.x_nodes()).max()) / grid.dy)
+    and, for IMP, (dt/eps) times it finite, blamed on ``dt_key`` (the key that
+    sets dt) when dt times it is already inf; for Lagrange s finite and > 0 (S 1 = s 1).
+    The nodes lo + k d rise with k, so the largest |node| is at an end, taken
+    without a node array, which no memory holds at a node count of 2**53."""
+    def far(lo: float, d: float, n: int) -> float:
+        return max(abs(lo), abs(lo + d * (n - 2)))
+
+    top = far(grid.y_min, grid.dy, grid.ny) / grid.dx + far(grid.x_min, grid.dx, grid.nx) / grid.dy
     if not top < math.inf:
         raise ValueError("keys 'x_min', 'x_max', 'y_min', 'y_max': the derived largest entry "
                          f"max|y|/dx + max|x|/dy of U is {top!r}, out of range")
@@ -403,12 +409,13 @@ def _rotating_system(grid, scheme: str, dt: float, eps: float, gamma: float) -> 
         _derived("gamma", "stabilization s = (dx dy)^gamma", s, 0.0 < s < math.inf)
     else:
         entry = dt / eps * top
-        _derived("eps_list", "IMP matrix entry (dt/eps) max_i U_ii", entry, entry < math.inf)
+        key = "eps_list" if dt * top < math.inf else dt_key
+        _derived(key, "IMP matrix entry (dt/eps) max_i U_ii", entry, entry < math.inf)
 
 
 def _rotating_config(p: dict, scheme: str, eps: float) -> RotatingSchemeConfig:
     grid, dt = _grid(p, int(p["nx"]), int(p["ny"])), _time_step(p)
-    _rotating_system(grid, scheme, dt, eps, p["gamma"])
+    _rotating_system(grid, scheme, dt, "t_end", eps, p["gamma"])
     model = RotatingModel(eps, INITIAL_CONDITIONS[p["ic"]])
     try:
         return RotatingSchemeConfig(model, grid, dt, p["gamma"], RotatingScheme(scheme))
@@ -629,7 +636,7 @@ def _jobs(kind: str, p: dict) -> list:
                     for s in ("imex", "micro-macro", "lagrange")]
         grid = _grid(_ROTATING_BASE, int(p["rot_n"]), int(p["rot_n"]))
         for s in ("lagrange", "imp"):  # IMP's largest entry is at the smallest eps
-            _rotating_system(grid, s, p["rot_dt"], eps_list[-1], p["gamma"])
+            _rotating_system(grid, s, p["rot_dt"], "rot_dt", eps_list[-1], p["gamma"])
         return [(s, eps_list, cond_family_rotating(s, grid, p["rot_dt"], p["gamma"]), None)
                 for s in ("imp", "lagrange")]
     config = _rotating_config if kind == "rotating-run" else _aligned_config

@@ -214,6 +214,11 @@ def test_scheme_errors_are_config_errors(tmp_path, capsys, entry):
     ({"kind": "rotating-run", "nx": 12, "ny": 12, "nt": 3, "eps_list": [5e-324]}, "eps_list"),
     # the ratios dt/dx, dt/dy of the rotating scheme config overflow
     ({"kind": "rotating-run", "nt": 3, "t_end": 1e308, "schemes": ["lagrange"]}, "t_end"),
+    # the IMP entry (dt/eps) max|U| overflows where dt max|U| alone does:
+    # blamed on the key that sets dt, not on eps_list
+    ({"kind": "rotating-run", "nx": 8, "ny": 8, "nt": 3, "t_end": 1e308}, "t_end"),
+    ({"kind": "cond-sweep", "toy": 2, "rot_n": 8, "rot_dt": 1e308,
+      "eps_list": [1.0, 0.5, 0.25]}, "rot_dt"),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_derived_underflow_is_a_config_error(tmp_path, capsys, entry, key):
@@ -234,6 +239,17 @@ def test_rotation_operator_overflow_is_a_config_error(tmp_path, capsys, scheme):
     assert ("config error: keys 'x_min', 'x_max', 'y_min', 'y_max': the derived largest entry"
             in capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("rotating-run", {"ny": 2 ** 53}),
+    ("rotating-run", {"nx": 2 ** 53, "schemes": ["lagrange"]}),
+    ("cond-sweep", {"toy": 2, "rot_n": 2 ** 53}),
+])
+def test_rotating_checks_take_no_node_array(kind, params):
+    # U's largest entry comes from the end nodes: a 2**53-node side loads
+    # without its 64 PiB node array, which ended loading in a MemoryError
+    assert ExperimentConfig(kind, params).jobs
 
 
 def test_schemes_without_the_imex_system_take_tiny_eps():

@@ -413,6 +413,34 @@ def test_sparse_factor_orders_by_column_dominance(monkeypatch, name, ordering):
     assert stats.residual_norm <= SOLVE_TOL
 
 
+@pytest.mark.parametrize("name", ["imp", "shifted", "aligned", "cyclic"])
+def test_panel_size_changes_only_the_workspace(monkeypatch, name):
+    # the narrow panel keeps SuperLU's ordering, pivots and fill, and the
+    # solves agree with the default panel's to rounding
+    matrices = {"aligned": aligned_lagrange_matrix(63, 2.0, 1e-3),
+                "cyclic": CyclicTridiag(400, 1.0 + 1e-3, -1.0).to_sparse(),
+                **_rotation_matrices(n=40)}
+    A = matrices[name]
+    calls = []
+    real_splu = spla.splu
+
+    def splu(M, **kw):
+        calls.append(kw)
+        return real_splu(M, **kw)
+
+    monkeypatch.setattr(linalg.spla, "splu", splu)
+    lu = SparseFactor(A)._lu
+    [kw] = calls
+    assert kw.pop("panel_size") == linalg.PANEL_SIZE
+    wide = real_splu(A.tocsc(), **kw)
+    assert lu.nnz == wide.nnz
+    assert np.array_equal(lu.perm_c, wide.perm_c)
+    assert np.array_equal(lu.perm_r, wide.perm_r)
+    b = np.random.default_rng(13).standard_normal(A.shape[0])
+    x, ref = lu.solve(b), wide.solve(b)
+    assert np.linalg.norm(x - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
 def test_symmetric_ordering_stores_less_than_colamd():
     A = _rotation_matrices(n=40)["imp"]
     assert SparseFactor(A)._lu.nnz < spla.splu(A.tocsc()).nnz
