@@ -18,7 +18,6 @@ import os
 import shutil
 import sys
 import time as _time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -334,7 +333,9 @@ def _plots(files, style: str) -> list:
 
 # ---------------------------------------------------------------------------
 # experiment kinds; each runner writes its CSVs and returns the lines of its
-# gnuplot script
+# gnuplot script. A runner that steps runs hands each job to one call that
+# returns only what the runner keeps, so no run outlives its job (see
+# ``_convergence_point``).
 
 
 def _derived(key: str, name: str, value: float, ok: bool) -> None:
@@ -345,7 +346,32 @@ def _derived(key: str, name: str, value: float, ok: bool) -> None:
         raise ValueError(f"key '{key}': the derived {name} is {value!r}, out of range")
 
 
-def _grid(p: dict, n_x: int, n_y: int):
+def _physical_memory() -> float:
+    """Bytes of physical memory, or inf where ``os.sysconf`` cannot tell."""
+    try:
+        page, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
+        return math.inf
+    return page * pages if page > 0 and pages > 0 else math.inf
+
+
+_MEMORY = _physical_memory()
+
+
+def _fits(key: str, doubles: int) -> None:
+    """A job whose stored field of ``doubles`` doubles exceeds physical memory
+    is a config error, named by the key that sets its size: run, it would fail
+    at its first allocation or be killed. A field that fits may still run out
+    of memory in its run (exit 2)."""
+    if 8 * doubles > _MEMORY:
+        raise ValueError(f"key '{key}': a job's field of {doubles} doubles needs "
+                         f"{8 * doubles / 2 ** 30:.3g} GiB, more than the "
+                         f"{_MEMORY / 2 ** 30:.3g} GiB of physical memory")
+
+
+def _grid(p: dict, n_x: int, n_y: int, keys: tuple = ("nx", "ny")):
+    """A job's grid; ``keys`` name the keys that set n_x and n_y."""
+    _fits(keys[n_y > n_x], (n_x - 1) * (n_y - 1))
     try:
         return make_grid2d(p["x_min"], p["x_max"], p["y_min"], p["y_max"], n_x, n_y)
     except ValueError as exc:
@@ -359,8 +385,8 @@ def _time_step(p: dict) -> float:
 
 
 # the config keys behind an aligned scheme config's time step, x-speed,
-# y-speed and eps, where a kind takes them from keys of those names
-_KEYS = {"dt": "t_end", "a": "a", "b": "b", "eps": "eps_list"}
+# y-speed, eps and grid sides, where a kind takes them from keys of those names
+_KEYS = {"dt": "t_end", "a": "a", "b": "b", "eps": "eps_list", "nx": "nx", "ny": "ny"}
 
 
 def _aligned_scheme(a: float, b: float, eps: float, f_in, grid, dt: float, scheme: str,
@@ -386,7 +412,8 @@ def _aligned_scheme(a: float, b: float, eps: float, f_in, grid, dt: float, schem
 
 def _aligned_config(p: dict, scheme: str, eps: float, keys: dict = _KEYS) -> AlignedSchemeConfig:
     return _aligned_scheme(p["a"], p["b"], eps, INITIAL_CONDITIONS[p["ic"]],
-                           _grid(p, int(p["nx"]), int(p["ny"])), _time_step(p), scheme, keys)
+                           _grid(p, int(p["nx"]), int(p["ny"]), (keys["nx"], keys["ny"])),
+                           _time_step(p), scheme, keys)
 
 
 def _rotating_system(grid, scheme: str, dt: float, dt_key: str, eps: float,
@@ -445,15 +472,19 @@ def _aligned_errors(scfg: AlignedSchemeConfig, result) -> tuple:
     return t_end, eta, error_gamma(final, limit_aligned(m, t_end, grid))
 
 
+def _aligned_run_job(out: Path, scheme: str, eps: float, scfg: AlignedSchemeConfig,
+                     n_steps: int) -> tuple:
+    """(field paths, error row) of one aligned-run job."""
+    result = run_aligned(scfg, n_steps)
+    return (_write_run(out, f"{scheme}_eps{_eps_tag(eps)}", result),
+            (scheme, eps, *_aligned_errors(scfg, result)))
+
+
 def _run_aligned_run(cfg: ExperimentConfig, out: Path) -> list:
-    fields = []
-    error_rows = []
-    for scheme, eps, scfg, n_steps in cfg.jobs:
-        result = run_aligned(scfg, n_steps)
-        fields = (fields + _write_run(out, f"{scheme}_eps{_eps_tag(eps)}", result))[:4]
-        error_rows.append((scheme, eps, *_aligned_errors(scfg, result)))
+    fields, error_rows = zip(*(_aligned_run_job(out, *job) for job in cfg.jobs))
     _write_csv(out / "errors.csv", ["scheme", "eps", "t", "eta", "gamma"], error_rows)
-    return [f"splot \"{f.name}\" every ::1 using 1:2:3 with points palette" for f in fields]
+    return [f"splot \"{f.name}\" every ::1 using 1:2:3 with points palette"
+            for f in [path for paths in fields for path in paths][:4]]
 
 
 def _circle_radius(lx: float, ly: float) -> float:
@@ -461,41 +492,48 @@ def _circle_radius(lx: float, ly: float) -> float:
     return min(1.0, lx / 4.0, ly / 4.0)
 
 
+def _rotating_run_job(out: Path, scheme: str, eps: float, scfg: RotatingSchemeConfig,
+                      n_steps: int) -> tuple:
+    """(cut path, summary row) of one rotating-run job."""
+    result = run_rotating(scfg, n_steps)
+    tag = f"{scheme}_eps{_eps_tag(eps)}"
+    _write_run(out, tag, result)
+    t_end, final = result.snapshots[-1]
+    grid = scfg.grid
+    # cut along the column nearest x = 0, as in the reference plots
+    i_cut = int(np.argmin(np.abs(grid.x_nodes())))
+    ys = grid.y_nodes()
+    cut = _write_csv(out / f"cut_{tag}.csv", ["y", "value"],
+                     ((ys[j], final.values[i_cut, j]) for j in range(grid.ny - 1)))
+    return cut, (scheme, eps, t_end, float(final.values.max()),
+                 circle_average(final, _circle_radius(grid.lx, grid.ly)))
+
+
 def _run_rotating_run(cfg: ExperimentConfig, out: Path) -> list:
-    cuts = []
-    summary = []
-    for scheme, eps, scfg, n_steps in cfg.jobs:
-        result = run_rotating(scfg, n_steps)
-        tag = f"{scheme}_eps{_eps_tag(eps)}"
-        _write_run(out, tag, result)
-        t_end, final = result.snapshots[-1]
-        grid = scfg.grid
-        # cut along the column nearest x = 0, as in the reference plots
-        i_cut = int(np.argmin(np.abs(grid.x_nodes())))
-        ys = grid.y_nodes()
-        cuts.append(_write_csv(out / f"cut_{tag}.csv", ["y", "value"],
-                               ((ys[j], final.values[i_cut, j]) for j in range(grid.ny - 1))))
-        summary.append((scheme, eps, t_end, float(final.values.max()),
-                        circle_average(final, _circle_radius(grid.lx, grid.ly))))
+    cuts, summary = zip(*(_rotating_run_job(out, *job) for job in cfg.jobs))
     _write_csv(out / "summary.csv", ["scheme", "eps", "t", "peak", "circle_avg"], summary)
     return _plots(cuts, "lines")
 
 
+def _point_trace_job(out: Path, point: list, scheme: str, eps: float,
+                     scfg: AlignedSchemeConfig, n_steps: int) -> Path:
+    """The trace path of one point-trace job."""
+    i_pt, j_pt = int(point[0]), int(point[1])
+    result = run_aligned(scfg, n_steps, snapshot_steps=range(n_steps + 1))
+    return _write_csv(out / f"trace_{scheme}_eps{_eps_tag(eps)}.csv", ["t", "value"],
+                      ((t, fld.values[i_pt, j_pt]) for t, fld in result.snapshots))
+
+
 def _run_point_trace(cfg: ExperimentConfig, out: Path) -> list:
-    i_pt, j_pt = int(cfg.params["point"][0]), int(cfg.params["point"][1])
-    traces = []
-    for scheme, eps, scfg, n_steps in cfg.jobs:
-        result = run_aligned(scfg, n_steps, snapshot_steps=range(n_steps + 1))
-        traces.append(_write_csv(out / f"trace_{scheme}_eps{_eps_tag(eps)}.csv", ["t", "value"],
-                                 ((t, fld.values[i_pt, j_pt]) for t, fld in result.snapshots)))
-    return _plots(traces, "lines")
+    return _plots([_point_trace_job(out, cfg.params["point"], *job) for job in cfg.jobs],
+                  "lines")
 
 
 def _run_eps_sweep(cfg: ExperimentConfig, out: Path) -> list:
     rows = {}
     for scheme, eps, scfg, n_steps in cfg.jobs:
-        result = run_aligned(scfg, n_steps)
-        rows.setdefault(scheme, []).append((eps, *_aligned_errors(scfg, result)))
+        t, eta, gamma = _aligned_errors(scfg, run_aligned(scfg, n_steps))  # the run dies here
+        rows.setdefault(scheme, []).append((eps, t, eta, gamma))
     errors = [_write_csv(out / f"errors_{scheme}.csv", ["eps", "t", "eta", "gamma"], r)
               for scheme, r in rows.items()]
     return ["set logscale x"] + [
@@ -524,7 +562,7 @@ def _convergence_config(p: dict, scheme: str, n: int) -> tuple:
     q = dict(_ALIGNED_BASE, b=p["b"], **_SWEEP_SETUPS[vary], **{_VARIED_KEY[vary]: int(n)})
     if vary == "dy" and scheme == "fourier":
         q["nt"] = _FOURIER_DY_NT
-    keys = {"dt": "n_list", "a": "n_list", "b": "b", "eps": "eps"}
+    keys = {"dt": "n_list", "a": "n_list", "b": "b", "eps": "eps", "nx": "n_list", "ny": "n_list"}
     return _aligned_config(q, scheme, p["eps"], keys), int(q["nt"]) - 1
 
 
@@ -565,7 +603,7 @@ def _run_cond_sweep(cfg: ExperimentConfig, out: Path) -> list:
 
 def _stability_config(p: dict, alpha: float) -> AlignedSchemeConfig:
     # a = 1 fixed; dt = alpha * dx sets the advective ratio exactly
-    grid = _grid(_ALIGNED_BASE, int(p["n"]), int(p["n"]))
+    grid = _grid(_ALIGNED_BASE, int(p["n"]), int(p["n"]), ("n", "n"))
     keys = {"dt": "alpha_list", "a": "alpha_list", "b": "alpha_list", "eps": "eps"}
     return _aligned_scheme(1.0, 1.0, p["eps"], ic_unit, grid, float(alpha) * grid.dx, "imex",
                            keys)
@@ -592,7 +630,7 @@ def _xi_fourier(scfg: AlignedSchemeConfig, k: int, l: int) -> float:
 
 def _amplification_config(p: dict, eps: float, scheme: str) -> AlignedSchemeConfig:
     # b = 1 fixed; the x-speed alpha dx / dt sets the advective ratio
-    grid = _grid(_ALIGNED_BASE, int(p["n"]), int(p["n"]))
+    grid = _grid(_ALIGNED_BASE, int(p["n"]), int(p["n"]), ("n", "n"))
     dt = float(p["dt"])
     keys = {"dt": "dt", "a": "dt", "b": "dt", "eps": "eps_list"}
     return _aligned_scheme(float(p["alpha"]) * grid.dx / dt, 1.0, eps, ic_unit, grid, dt, scheme,
@@ -632,9 +670,10 @@ def _jobs(kind: str, p: dict) -> list:
     if kind == "cond-sweep":
         eps_list = sorted(p["eps_list"], reverse=True)
         if p["toy"] == 1:
+            _fits("ny", int(p["ny"]) - 1)
             return [(s, eps_list, cond_family_aligned(s, int(p["ny"]) - 1, p["beta"]), None)
                     for s in ("imex", "micro-macro", "lagrange")]
-        grid = _grid(_ROTATING_BASE, int(p["rot_n"]), int(p["rot_n"]))
+        grid = _grid(_ROTATING_BASE, int(p["rot_n"]), int(p["rot_n"]), ("rot_n", "rot_n"))
         for s in ("lagrange", "imp"):  # IMP's largest entry is at the smallest eps
             _rotating_system(grid, s, p["rot_dt"], "rot_dt", eps_list[-1], p["gamma"])
         return [(s, eps_list, cond_family_rotating(s, grid, p["rot_dt"], p["gamma"]), None)
@@ -716,6 +755,8 @@ def run_experiment(config_path: str, out_dir: str | None = None,
     workers = min(workers, len(configs), os.cpu_count() or 1)  # the pool forks them all at once
     try:
         if workers > 1:
+            # imported here: the pool's modules would add about 0.5 MiB to every 1-worker run
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_execute_one, configs, [out_base] * len(configs)))
         else:

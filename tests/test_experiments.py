@@ -8,7 +8,10 @@ import json
 import math
 import pickle
 import re
+import subprocess
+import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -241,12 +244,41 @@ def test_rotation_operator_overflow_is_a_config_error(tmp_path, capsys, scheme):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.fixture
+def unbounded_memory(monkeypatch):
+    # a machine that could hold any field, so that a huge grid meets the rules after the
+    # memory rule, or its run's own allocation
+    monkeypatch.setattr(experiments, "_MEMORY", math.inf)
+
+
+@pytest.mark.parametrize("entry,key", [
+    ({"kind": "rotating-run", "ny": 10 ** 9}, "ny"),
+    ({"kind": "aligned-run", "nx": 10 ** 9}, "nx"),
+    ({"kind": "cond-sweep", "toy": 2, "rot_n": 10 ** 9}, "rot_n"),
+    ({"kind": "stability-scan", "n": 2 ** 53}, "n"),
+    ({"kind": "convergence", "n_list": [10 ** 9, 2 * 10 ** 9, 3 * 10 ** 9]}, "n_list"),
+])
+def test_a_field_beyond_memory_is_a_config_error(tmp_path, capsys, monkeypatch, entry, key):
+    # each loaded, and would only have failed, or been killed, once it ran; the
+    # bound is capped so that no machine holds these fields and runs them here
+    monkeypatch.setattr(experiments, "_MEMORY", min(experiments._MEMORY, 2 ** 36))
+    assert run_experiment(write_config(tmp_path, entry), str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert f"config error: key '{key}': a job's field of " in err and "physical memory" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_memory_rule_is_skipped_without_sysconf(monkeypatch):
+    monkeypatch.delattr(experiments.os, "sysconf")
+    assert experiments._physical_memory() == math.inf
+
+
 @pytest.mark.parametrize("kind, params", [
     ("rotating-run", {"ny": 2 ** 53}),
     ("rotating-run", {"nx": 2 ** 53, "schemes": ["lagrange"]}),
     ("cond-sweep", {"toy": 2, "rot_n": 2 ** 53}),
 ])
-def test_rotating_checks_take_no_node_array(kind, params):
+def test_rotating_checks_take_no_node_array(kind, params, unbounded_memory):
     # U's largest entry comes from the end nodes: a 2**53-node side loads
     # without its 64 PiB node array, which ended loading in a MemoryError
     assert ExperimentConfig(kind, params).jobs
@@ -349,7 +381,7 @@ DERIVED_UNDERFLOWS = {
 
 
 @pytest.mark.parametrize("kind,key,rejected,accepted,others", _boundaries())
-def test_config_bounds(kind, key, rejected, accepted, others):
+def test_config_bounds(kind, key, rejected, accepted, others, unbounded_memory):
     with pytest.raises(ValueError, match=f"'{key}'"):
         ExperimentConfig(kind, {**others, key: rejected})
     underflow = DERIVED_UNDERFLOWS.get((kind, key, repr(accepted)))
@@ -625,7 +657,7 @@ def test_os_error_in_an_experiment_exits_2(tmp_path, capsys):
     assert (out / "stab").read_text() == "not a directory\n"
 
 
-def test_memory_error_in_an_experiment_exits_2(tmp_path, capsys):
+def test_memory_error_in_an_experiment_exits_2(tmp_path, capsys, unbounded_memory):
     # 10**15 nodes ask for 7 PiB at once; the allocation fails without using memory
     entry = {"kind": "aligned-run", "name": "big", "nx": 10 ** 15, "ny": 5, "nt": 3}
     assert run_experiment(write_config(tmp_path, entry), str(tmp_path / "out")) == 2
@@ -727,6 +759,26 @@ def test_runners_step_the_jobs_that_validation_built(tmp_path, monkeypatch, entr
     assert [id(scfg) for scfg in stepped] == [id(job[2]) for job in cfg.jobs]
 
 
+@pytest.mark.parametrize("entry", [dict(TINY_ALIGNED, nt=3, eps_list=[1.0, 0.1])] + [
+    e for e in TINY_BATCH if e["kind"] in ("rotating-run", "point-trace", "eps-sweep",
+                                           "convergence")], ids=lambda entry: entry["kind"])
+def test_no_run_outlives_its_job(tmp_path, monkeypatch, entry):
+    # a run kept alive while the next one steps pins the heap top under it
+    params = {k: v for k, v in entry.items() if k not in ("kind", "name")}
+    cfg = ExperimentConfig(entry["kind"], params, "tiny")
+    runs = []
+    for name in ("run_aligned", "run_rotating"):
+        def tracked(*args, real=getattr(experiments, name), **kwargs):
+            assert all(run() is None for run in runs), "a run outlived its job"
+            result = real(*args, **kwargs)
+            runs.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(experiments, name, tracked)
+    experiments._execute_one(cfg, tmp_path)
+    assert len(runs) == len(cfg.jobs) > 1
+
+
 @pytest.mark.parametrize("kind,params", [(kind, {}) for kind in EXPERIMENT_KINDS]
                          + [("cond-sweep", {"toy": 2})])
 def test_jobs_survive_pickle(kind, params):
@@ -761,13 +813,26 @@ def test_worker_pool_is_capped(tmp_path, monkeypatch, workers, cpus, pool_size):
 
         map = staticmethod(map)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
     batch = [dict(TINY_ALIGNED, name=name, nt=3) for name in ("a", "b", "c")]
     assert run_experiment(write_config(tmp_path, batch), str(tmp_path / "out"),
                           workers=workers) == 0
     assert sizes == ([] if pool_size is None else [pool_size])
     assert {p.name for p in (tmp_path / "out").iterdir()} == {"a", "b", "c"}
+
+
+def test_one_worker_run_imports_no_process_pool(tmp_path):
+    # the pool's modules would stay resident in every run that never forks
+    cfg, out = write_config(tmp_path, TINY_ALIGNED), str(tmp_path / "out")
+    src = str(Path(experiments.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); "
+            "from aplab.experiments import run_experiment; "
+            f"assert run_experiment({cfg!r}, {out!r}, workers=1) == 0; "
+            "print('concurrent.futures.process' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert run.stdout.splitlines() == ["tiny: 5 files", "False"]
 
 
 @pytest.mark.parametrize("workers", [0, -3])
