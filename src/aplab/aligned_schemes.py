@@ -254,7 +254,6 @@ def make_aligned_stepper(cfg: AlignedSchemeConfig):
     return _STEPPERS[cfg.scheme](cfg)
 
 
-def run_aligned(cfg: AlignedSchemeConfig, n_steps: int,
-                snapshot_steps=None) -> RunResult:
+def run_aligned(cfg: AlignedSchemeConfig, n_steps: int) -> RunResult:
     """Iterate the selected scheme from the sampled initial condition."""
-    return run_steps(cfg, make_aligned_stepper, n_steps, snapshot_steps)
+    return run_steps(cfg, make_aligned_stepper, n_steps)

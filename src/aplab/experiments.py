@@ -25,12 +25,13 @@ import numpy as np
 
 from . import __version__
 from .aligned import AlignedModel, exact_aligned, ic_two_mode, limit_aligned
-from .aligned_schemes import AlignedScheme, AlignedSchemeConfig, ImexStepper, run_aligned
+from .aligned_schemes import (AlignedScheme, AlignedSchemeConfig, ImexStepper,
+                             make_aligned_stepper, run_aligned)
 from .analysis import (amplification_factors, cond_family_aligned, cond_family_rotating,
                        cond_sweep, error_eta, error_gamma, fit_loglog_slope, xi_imex)
 from .grid import make_grid2d
 from .linalg import ConvergenceError, SingularMatrixError
-from .results import DIAGNOSTICS
+from .results import DIAGNOSTICS, iter_steps
 from .rotating import RotatingModel, circle_average, ic_gaussian
 from .rotating_schemes import RotatingScheme, RotatingSchemeConfig, run_rotating, stabilization
 
@@ -517,11 +518,11 @@ def _run_rotating_run(cfg: ExperimentConfig, out: Path) -> list:
 
 def _point_trace_job(out: Path, point: list, scheme: str, eps: float,
                      scfg: AlignedSchemeConfig, n_steps: int) -> Path:
-    """The trace path of one point-trace job."""
-    i_pt, j_pt = int(point[0]), int(point[1])
-    result = run_aligned(scfg, n_steps, snapshot_steps=range(n_steps + 1))
+    """The trace path of one point-trace job, whose node is written as each step ends."""
+    node = int(point[0]), int(point[1])
     return _write_csv(out / f"trace_{scheme}_eps{_eps_tag(eps)}.csv", ["t", "value"],
-                      ((t, fld.values[i_pt, j_pt]) for t, fld in result.snapshots))
+                      ((t, state.field.values[node])
+                       for t, state, _ in iter_steps(scfg, make_aligned_stepper, n_steps)))
 
 
 def _run_point_trace(cfg: ExperimentConfig, out: Path) -> list:
@@ -670,7 +671,9 @@ def _jobs(kind: str, p: dict) -> list:
     if kind == "cond-sweep":
         eps_list = sorted(p["eps_list"], reverse=True)
         if p["toy"] == 1:
-            _fits("ny", int(p["ny"]) - 1)
+            # micro-macro's dense build peaks at 6 (ny - 1)^2 doubles (Q, Q^T A Q, its nonzeros'
+            # int64 and int32 indices and values), and the freed A and Q^T A may stay resident
+            _fits("ny", 8 * (int(p["ny"]) - 1) ** 2)
             return [(s, eps_list, cond_family_aligned(s, int(p["ny"]) - 1, p["beta"]), None)
                     for s in ("imex", "micro-macro", "lagrange")]
         grid = _grid(_ROTATING_BASE, int(p["rot_n"]), int(p["rot_n"]), ("rot_n", "rot_n"))

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 from .grid import Field2D, sample
 
-__all__ = ["RunResult", "run_steps"]
+__all__ = ["RunResult", "iter_steps"]
 
 
 # the columns of a diagnostics row: discrete mass and solver outcome per step
@@ -21,23 +21,17 @@ class RunResult:
     diagnostics: list[tuple] = field(default_factory=list)
 
 
-def run_steps(cfg, make_stepper, n_steps: int, snapshot_steps=None) -> RunResult:
-    """Iterate ``make_stepper(cfg)`` from the sampled initial condition.
+def iter_steps(cfg, make_stepper, n_steps: int):
+    """Iterate ``make_stepper(cfg)`` from the sampled initial condition, yielding
+    ``(t, state, DIAGNOSTICS row)`` for the first state and after each step.
 
-    ``cfg`` carries ``model`` (with ``f_in``), ``grid`` and ``dt``; the
-    rest is read by ``make_stepper``. The stepper's ``initial(f0)`` builds its state from the
-    sampled field and ``step(state)`` returns ``(state, SolveStats)``; every
-    state exposes ``.field`` and ``.mass()``; the field is kept at each step in
-    ``snapshot_steps`` (integers in 0..n_steps; default 0 and n_steps). Each step
-    appends its ``DIAGNOSTICS`` row, and a failing step names its index.
+    ``cfg`` carries ``model`` (with ``f_in``), ``grid`` and ``dt``; the rest is read by
+    ``make_stepper``. The stepper's ``initial(f0)`` builds its state from the sampled
+    field and ``step(state)`` returns ``(state, SolveStats)``; every state exposes
+    ``.field`` and ``.mass()``. A failing step names its index.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
-    snap_steps = {0, n_steps} if snapshot_steps is None else set(snapshot_steps)
-    for n in snap_steps:
-        if n not in range(n_steps + 1):
-            raise ValueError(f"snapshot step {n!r} is not an integer in 0..{n_steps}")
-
     f0 = sample(cfg.grid, cfg.model.f_in)
     stepper = make_stepper(cfg)
     # the first state, not the field it is made from, is kept for the run:
@@ -45,12 +39,8 @@ def run_steps(cfg, make_stepper, n_steps: int, snapshot_steps=None) -> RunResult
     # glibc would trim the heap top and fault it in again every few steps
     first = stepper.initial(f0)
     del f0
+    yield 0.0, first, (0, 0.0, first.mass(), 0.0, 0)
     state = first
-
-    result = RunResult()
-    result.diagnostics.append((0, 0.0, state.mass(), 0.0, 0))
-    if 0 in snap_steps:
-        result.snapshots.append((0.0, state.field))
     for n in range(1, n_steps + 1):
         try:
             state, stats = stepper.step(state)
@@ -58,7 +48,14 @@ def run_steps(cfg, make_stepper, n_steps: int, snapshot_steps=None) -> RunResult
             exc.args = (f"step {n}: {exc}",) + exc.args[1:]
             raise
         t = n * cfg.dt
-        result.diagnostics.append((n, t, state.mass(), stats.residual_norm, stats.iterations))
-        if n in snap_steps:
+        yield t, state, (n, t, state.mass(), stats.residual_norm, stats.iterations)
+
+
+def run_steps(cfg, make_stepper, n_steps: int) -> RunResult:
+    """The run of ``iter_steps``: its first and last field and every row."""
+    result = RunResult()
+    for t, state, row in iter_steps(cfg, make_stepper, n_steps):
+        result.diagnostics.append(row)
+        if row[0] in (0, n_steps):
             result.snapshots.append((t, state.field))
     return result

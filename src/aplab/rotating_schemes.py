@@ -234,7 +234,6 @@ _STEPPERS = {
 }
 
 
-def run_rotating(cfg: RotatingSchemeConfig, n_steps: int,
-                 snapshot_steps=None) -> RunResult:
+def run_rotating(cfg: RotatingSchemeConfig, n_steps: int) -> RunResult:
     """Iterate the selected scheme from the sampled initial condition."""
-    return run_steps(cfg, _STEPPERS[cfg.scheme], n_steps, snapshot_steps)
+    return run_steps(cfg, _STEPPERS[cfg.scheme], n_steps)

@@ -17,6 +17,7 @@ from aplab.aligned_schemes import (
 )
 from aplab.grid import make_grid2d, sample
 from aplab.linalg import SingularMatrixError, SparseFactor
+from aplab.results import iter_steps
 
 
 def make_cfg(scheme, eps, a=0.1, b=1.0, dt=0.01, nx=33, ny=33, f_in=ic_two_mode):
@@ -339,9 +340,24 @@ def test_stepping_a_state_twice_gives_equal_results(scheme, eps):
 def test_snapshots_are_not_changed_by_later_steps(scheme):
     cfg = make_cfg(scheme, 1e-3, nx=17, ny=17)
     n = 5
-    snaps = run_aligned(cfg, n, snapshot_steps=range(n + 1)).snapshots
-    for k, (_, field) in enumerate(snaps):
+    snaps = [state.field for _, state, _ in iter_steps(cfg, make_aligned_stepper, n)]
+    for k, field in enumerate(snaps):
         assert np.array_equal(field.values, run_aligned(cfg, k).snapshots[-1][1].values)
+
+
+@pytest.mark.parametrize("scheme", list(AlignedScheme))
+def test_run_collects_what_the_driver_yields(scheme):
+    cfg = make_cfg(scheme, 1e-3, nx=17, ny=17, dt=0.1)
+    n = 4
+    yielded = list(iter_steps(cfg, make_aligned_stepper, n))
+    result = run_aligned(cfg, n)
+    assert len(yielded) == n + 1
+    assert [row for _, _, row in yielded] == result.diagnostics
+    for (t, state, _), (t_snap, field) in zip((yielded[0], yielded[-1]), result.snapshots):
+        assert t == t_snap and np.array_equal(state.field.values, field.values)
+    steps = iter_steps(cfg, make_aligned_stepper, -1)  # a generator checks at its first next()
+    with pytest.raises(ValueError, match="n_steps must be >= 0"):
+        next(steps)
 
 
 def test_run_zero_steps():
@@ -353,18 +369,11 @@ def test_run_zero_steps():
     assert np.array_equal(f.values, sample(cfg.grid, ic_two_mode).values)
 
 
-def test_run_records_requested_snapshots():
+def test_run_keeps_first_and_last_field_and_every_row():
     cfg = make_cfg(AlignedScheme.FOURIER, 1.0, dt=0.1)
-    result = run_aligned(cfg, 10, snapshot_steps=[0, 5, 10])
-    assert [t for t, _ in result.snapshots] == [0.0, 0.5, 1.0]
+    result = run_aligned(cfg, 10)
+    assert [t for t, _ in result.snapshots] == [0.0, 1.0]
     assert len(result.diagnostics) == 11
-
-
-def test_run_rejects_snapshot_step_outside_run():
-    cfg = make_cfg(AlignedScheme.IMEX, 1.0, dt=0.1)
-    for step in (-1, 11):
-        with pytest.raises(ValueError, match="not an integer in 0..10"):
-            run_aligned(cfg, 10, snapshot_steps=[0, step])
 
 
 def test_run_attaches_step_index_to_failure():

@@ -257,6 +257,8 @@ def unbounded_memory(monkeypatch):
     ({"kind": "cond-sweep", "toy": 2, "rot_n": 10 ** 9}, "rot_n"),
     ({"kind": "stability-scan", "n": 2 ** 53}, "n"),
     ({"kind": "convergence", "n_list": [10 ** 9, 2 * 10 ** 9, 3 * 10 ** 9]}, "n_list"),
+    # its field is one column, but micro-macro's matrix is built dense
+    ({"kind": "cond-sweep", "toy": 1, "ny": 10 ** 5}, "ny"),
 ])
 def test_a_field_beyond_memory_is_a_config_error(tmp_path, capsys, monkeypatch, entry, key):
     # each loaded, and would only have failed, or been killed, once it ran; the
@@ -748,7 +750,8 @@ def test_runners_step_the_jobs_that_validation_built(tmp_path, monkeypatch, entr
     params = {k: v for k, v in entry.items() if k not in ("kind", "name")}
     cfg = ExperimentConfig(entry["kind"], params, "tiny")
     stepped = []
-    for name in ("run_aligned", "run_rotating", "amplification_factors", "cond_sweep"):
+    for name in ("run_aligned", "run_rotating", "iter_steps", "amplification_factors",
+                 "cond_sweep"):
         def record(scfg, *args, real=getattr(experiments, name), **kwargs):
             stepped.append(scfg)
             return real(scfg, *args, **kwargs)
@@ -763,11 +766,12 @@ def test_runners_step_the_jobs_that_validation_built(tmp_path, monkeypatch, entr
     e for e in TINY_BATCH if e["kind"] in ("rotating-run", "point-trace", "eps-sweep",
                                            "convergence")], ids=lambda entry: entry["kind"])
 def test_no_run_outlives_its_job(tmp_path, monkeypatch, entry):
-    # a run kept alive while the next one steps pins the heap top under it
+    # a run kept alive while the next one steps pins the heap top under it; point-trace
+    # steps through the driver's generator, which must die with its job
     params = {k: v for k, v in entry.items() if k not in ("kind", "name")}
     cfg = ExperimentConfig(entry["kind"], params, "tiny")
     runs = []
-    for name in ("run_aligned", "run_rotating"):
+    for name in ("run_aligned", "run_rotating", "iter_steps"):
         def tracked(*args, real=getattr(experiments, name), **kwargs):
             assert all(run() is None for run in runs), "a run outlived its job"
             result = real(*args, **kwargs)
@@ -833,6 +837,26 @@ def test_one_worker_run_imports_no_process_pool(tmp_path):
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert run.stdout.splitlines() == ["tiny: 5 files", "False"]
+
+
+def test_point_trace_memory_does_not_grow_with_nt(tmp_path):
+    # the trace reads one node as each step ends: holding every snapshot cost about
+    # one 80 KB field per step at 101^2, about 140 MiB more at nt = 2,001 than at 201
+    src = str(Path(experiments.__file__).parents[1])
+    growth = {}
+    for nt in (201, 2001):
+        entry = {"kind": "point-trace", "name": f"nt{nt}", "nx": 101, "ny": 101, "nt": nt,
+                 "schemes": ["fourier"], "eps_list": [1.0]}
+        cfg, out = write_config(tmp_path, entry, f"nt{nt}.json"), str(tmp_path / "out")
+        code = (f"import resource, sys; sys.path.insert(0, {src!r}); "
+                "from aplab.experiments import run_experiment; "
+                "kib = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
+                f"before = kib(); assert run_experiment({cfg!r}, {out!r}) == 0; "
+                "print(kib() - before)")
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        growth[nt] = int(run.stdout.splitlines()[-1]) / 1024
+    assert abs(growth[2001] - growth[201]) < 20, growth
 
 
 @pytest.mark.parametrize("workers", [0, -3])
